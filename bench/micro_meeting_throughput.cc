@@ -4,6 +4,8 @@
 // to diff and plot. Per-peer scores are bit-identical across all thread
 // counts (see DESIGN.md, "Concurrency model"); only the timings change.
 
+#include <sys/resource.h>
+
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -13,6 +15,16 @@
 
 namespace jxp {
 namespace bench {
+
+/// CPU time (user + system) of the whole process so far, all threads.
+double ProcessCpuMillis() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  const auto millis = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) * 1e3 + static_cast<double>(t.tv_usec) * 1e-3;
+  };
+  return millis(usage.ru_utime) + millis(usage.ru_stime);
+}
 
 void Run(int argc, char** argv) {
   BenchConfig config = BenchConfig::FromFlags(argc, argv);
@@ -30,10 +42,10 @@ void Run(int argc, char** argv) {
     core::JxpSimulation sim(collection.data.graph, fragments, sim_config);
 
     WallTimer wall;
-    CpuTimer cpu;
+    const double cpu_start_ms = ProcessCpuMillis();
     sim.RunMeetingsParallel(config.meetings);
     const double wall_s = wall.ElapsedSeconds();
-    const double cpu_ms = cpu.ElapsedMillis();
+    const double cpu_ms = ProcessCpuMillis() - cpu_start_ms;
 
     double merge_ms_total = 0;
     size_t merges = 0;

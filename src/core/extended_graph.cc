@@ -115,29 +115,52 @@ const ExtendedGraphSystem& ExtendedSystemCache::Prepare(const graph::Subgraph& f
     GetCacheMetrics().hits.Increment();
   }
 
-  // Snapshot the world node's raw link terms, projected onto the fragment.
-  terms_.clear();
+  // Snapshot the world node's raw link terms, projected onto the fragment,
+  // in canonical (target, inv_out, score) order. The order fixes the world
+  // row's float accumulation, so it must be a function of the world node's
+  // content alone. Entries are visited in (inv_out, score) order — ascending
+  // 1/out(r) is exactly descending out(r) for 32-bit degrees — and a stable
+  // counting pass over the local target indices groups their terms by
+  // target: a sort of the entries replaces a sort of all their terms.
   uniform_share_ =
       world.NumEntries() > 0 ? 1.0 / static_cast<double>(world.NumEntries()) : 0.0;
-  for (const auto& [page, info] : world.entries()) {
-    const double inv_out = 1.0 / static_cast<double>(info.out_degree);
-    for (graph::PageId target : info.targets) {
-      const graph::Subgraph::LocalIndex t = fragment.LocalIndexOf(target);
-      if (t == graph::Subgraph::kNotLocal) continue;  // Target projected away.
-      terms_.push_back({t, inv_out, info.score});
-    }
+  struct EntryKey {
+    uint32_t out_degree;
+    uint32_t entry;
+    double score;
+  };
+  std::vector<EntryKey> order;
+  order.reserve(world.NumEntries());
+  for (size_t e = 0; e < world.NumEntries(); ++e) {
+    order.push_back({world.out_degrees()[e], static_cast<uint32_t>(e), world.scores()[e]});
   }
-  // Canonical term order. The map's iteration order depends on its insertion
-  // history, which differs between a live peer and the same peer restored
-  // from a state_io file; sorting makes the world row's accumulation order —
-  // and with it every downstream float — a function of the world node's
-  // *content* only, so a saved-and-reloaded peer computes bit-identical
-  // scores.
-  std::sort(terms_.begin(), terms_.end(), [](const WorldTerm& a, const WorldTerm& b) {
-    if (a.target != b.target) return a.target < b.target;
-    if (a.inv_out != b.inv_out) return a.inv_out < b.inv_out;
+  std::sort(order.begin(), order.end(), [](const EntryKey& a, const EntryKey& b) {
+    if (a.out_degree != b.out_degree) return a.out_degree > b.out_degree;
     return a.score < b.score;
   });
+  // Counting pass: project every target once, counting terms per target.
+  std::vector<graph::Subgraph::LocalIndex> local(world.NumLinks());
+  std::vector<size_t> next(n + 1, 0);
+  size_t k = 0;
+  for (const EntryKey& key : order) {
+    for (graph::PageId target : world.targets(key.entry)) {
+      local[k] = fragment.LocalIndexOf(target);
+      if (local[k] != graph::Subgraph::kNotLocal) ++next[local[k] + 1];
+      ++k;
+    }
+  }
+  for (size_t t = 0; t < n; ++t) next[t + 1] += next[t];
+  // Placement pass, stable: within a target, terms keep the entry order.
+  terms_.resize(next[n]);
+  k = 0;
+  for (const EntryKey& key : order) {
+    const double inv_out = 1.0 / static_cast<double>(key.out_degree);
+    for (size_t j = 0; j < world.targets(key.entry).size(); ++j, ++k) {
+      const graph::Subgraph::LocalIndex t = local[k];
+      if (t == graph::Subgraph::kNotLocal) continue;  // Target projected away.
+      terms_[next[t]++] = {t, inv_out, key.score};
+    }
+  }
   dangling_mass_ = world.TotalDanglingScore();
   global_size_ = global_size;
   weighting_ = weighting;

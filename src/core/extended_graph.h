@@ -50,7 +50,8 @@ struct ExtendedGraphSystem {
 ///   ReplaceFragment, the sole structural fragment change);
 /// - Prepare() snapshots the world node's raw link terms (target, 1/out(r),
 ///   alpha(r)) and regenerates the world row for the given denominator —
-///   O(world entries), no local-row rebuild, no builder sort of local rows;
+///   a sort of the world entries plus linear passes, no local-row rebuild,
+///   no builder sort of local rows;
 /// - Rescale() regenerates the world row for a new denominator from the
 ///   snapshot — the O(world entries) step JxpPeer's self-consistent
 ///   denominator guard loop runs instead of a full BuildExtendedSystem.
@@ -118,7 +119,7 @@ class ExtendedSystemCache {
   WorldLinkWeighting weighting_ = WorldLinkWeighting::kScoreProportional;
   double uniform_share_ = 0;
   double dangling_mass_ = 0;
-  std::vector<WorldTerm> terms_;
+  std::vector<WorldTerm> terms_;  // Canonical (target, inv_out, score) order.
   std::vector<markov::MatrixEntry> world_row_;  // Scratch, reused per rebuild.
   ExtendedGraphSystem system_;
 };

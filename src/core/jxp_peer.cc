@@ -91,6 +91,47 @@ double CombineScores(CombineMode mode, double a, double b) {
   return mode == CombineMode::kTakeMax ? std::max(a, b) : 0.5 * (a + b);
 }
 
+/// Appends to `out` the entries of `targets` (sorted) that are pages of
+/// `fragment`.
+void ProjectTargets(const graph::Subgraph& fragment,
+                    std::span<const graph::PageId> targets,
+                    std::vector<graph::PageId>& out) {
+  out.clear();
+  for (graph::PageId t : targets) {
+    if (fragment.Contains(t)) out.push_back(t);
+  }
+}
+
+/// What a sender's local pages tell a receiver holding `fragment`: each page
+/// outside it becomes a world entry (its score from `score_of`, its targets
+/// projected onto `fragment`, kept when any remain) or a dangling record.
+/// Pages come out ascending because local-index order is page order.
+template <typename ScoreOf>
+WorldNode PagesAsWorld(const graph::Subgraph& sender, const graph::Subgraph& fragment,
+                       ScoreOf score_of) {
+  WorldNode world;
+  std::vector<graph::PageId> targets;
+  for (graph::Subgraph::LocalIndex k = 0; k < sender.NumLocalPages(); ++k) {
+    const graph::PageId page = sender.GlobalId(k);
+    if (fragment.Contains(page)) continue;
+    if (sender.GlobalOutDegree(k) == 0) {
+      world.AppendDangling(page, score_of(k));
+      continue;
+    }
+    ProjectTargets(fragment, sender.Successors(k), targets);
+    if (!targets.empty()) {
+      world.AppendEntry(page, static_cast<uint32_t>(sender.GlobalOutDegree(k)),
+                        score_of(k), targets);
+    }
+  }
+  return world;
+}
+
+const WorldNode& EmptyWorld() {
+  static const WorldNode empty;
+  return empty;
+}
+
 }  // namespace
 
 JxpPeer::JxpPeer(p2p::PeerId id, graph::Subgraph fragment, size_t global_size,
@@ -152,8 +193,8 @@ double JxpPeer::ScoreOfGlobal(graph::PageId page) const {
 }
 
 std::vector<uint8_t> JxpPeer::EncodeMeetingBytes() const {
-  const PeerView view = MakeView();
-  return EncodeMeetingMessage(*view.fragment, view.scores, view.world,
+  const PeerView view = MakeView(/*snapshot=*/false);
+  return EncodeMeetingMessage(*view.fragment, view.scores, *view.world,
                               options_.estimate_global_size ? view.page_sketch
                                                             : nullptr);
 }
@@ -165,13 +206,7 @@ RemoteMeetingApply JxpPeer::ApplyMeetingBytes(std::span<const uint8_t> bytes) {
   result.salvaged = !decoded.error.ok();
   if (decoded.fragment == nullptr) return result;  // Degenerates to a drop.
   PeerView view;
-  view.owned_fragment = decoded.fragment;
-  view.fragment = view.owned_fragment.get();
-  view.scores = std::move(decoded.scores);
-  view.world = std::move(decoded.world);
-  view.owned_sketch = decoded.sketch;
-  view.page_sketch = view.owned_sketch.get();
-  view.wire_bytes = static_cast<double>(decoded.bytes_consumed);
+  AdoptDecoded(std::move(decoded), view);
   result.cpu_millis = ProcessMeeting(view);
   result.pr_iterations = last_pr_iterations_;
   result.applied = true;
@@ -199,8 +234,8 @@ MeetingOutcome JxpPeer::Meet(JxpPeer& initiator, JxpPeer& partner,
 
   // Snapshot both messages first: the exchange is simultaneous, so each side
   // must see the other's pre-meeting state.
-  PeerView initiator_view = initiator.MakeView();
-  PeerView partner_view = partner.MakeView();
+  PeerView initiator_view = initiator.MakeView(/*snapshot=*/true);
+  PeerView partner_view = partner.MakeView(/*snapshot=*/true);
 
   MeetingOutcome outcome;
   outcome.bytes_sent_initiator = initiator_view.wire_bytes;
@@ -287,18 +322,20 @@ MeetingOutcome JxpPeer::MeetMeasured(JxpPeer& initiator, JxpPeer& partner,
   span.AddAttr("partner", partner.id_);
   span.AddAttr("wire_mode", "measured");
 
-  PeerView initiator_view = initiator.MakeView();
-  PeerView partner_view = partner.MakeView();
+  // The views are encoded right away, before either side changes, so they
+  // can point at the senders' own state.
+  const PeerView initiator_view = initiator.MakeView(/*snapshot=*/false);
+  const PeerView partner_view = partner.MakeView(/*snapshot=*/false);
 
   // Serialize both messages through the wire codec; from here on the bytes
   // *are* the message, and faults act on them.
   std::optional<ThreadCpuTimer> encode_timer;
   if (obs::Enabled()) encode_timer.emplace();
   const std::vector<uint8_t> initiator_bytes = EncodeMeetingMessage(
-      *initiator_view.fragment, initiator_view.scores, initiator_view.world,
+      *initiator_view.fragment, initiator_view.scores, *initiator_view.world,
       initiator.options_.estimate_global_size ? initiator_view.page_sketch : nullptr);
   const std::vector<uint8_t> partner_bytes = EncodeMeetingMessage(
-      *partner_view.fragment, partner_view.scores, partner_view.world,
+      *partner_view.fragment, partner_view.scores, *partner_view.world,
       partner.options_.estimate_global_size ? partner_view.page_sketch : nullptr);
   if (encode_timer.has_value()) {
     GetMeetingMetrics().wire_encode_ms.Observe(encode_timer->ElapsedMillis());
@@ -316,34 +353,33 @@ MeetingOutcome JxpPeer::MeetMeasured(JxpPeer& initiator, JxpPeer& partner,
   // corruption flips one bit of what arrives, and the receiver's decoder
   // salvages the intact frame prefix. Returns false when nothing usable
   // arrived (drop, or damage so early that no page decoded); the delivered
-  // fraction is measured in decoded bytes over sent bytes.
-  const auto resolve = [](const std::vector<uint8_t>& sent, bool drop, double keep,
+  // fraction is measured in decoded bytes over sent bytes. Only corruption
+  // copies the bytes; a clean or truncated delivery decodes the sent bytes
+  // in place.
+  const auto resolve = [](std::span<const uint8_t> sent, bool drop, double keep,
                           bool corrupt, double corrupt_offset, int corrupt_bit,
                           PeerView& received, double& fraction) -> bool {
     fraction = 0;
     if (drop || sent.empty()) return false;
-    std::vector<uint8_t> delivered = sent;
+    std::span<const uint8_t> delivered = sent;
     if (keep < 1.0) {
-      delivered.resize(static_cast<size_t>(keep * static_cast<double>(delivered.size())));
+      delivered = sent.first(static_cast<size_t>(keep * static_cast<double>(sent.size())));
       if (delivered.empty()) return false;
     }
+    std::vector<uint8_t> damaged;
     if (corrupt) {
+      damaged.assign(delivered.begin(), delivered.end());
       const size_t at = std::min(
-          delivered.size() - 1,
-          static_cast<size_t>(corrupt_offset * static_cast<double>(delivered.size())));
-      delivered[at] ^= static_cast<uint8_t>(1u << (corrupt_bit & 7));
+          damaged.size() - 1,
+          static_cast<size_t>(corrupt_offset * static_cast<double>(damaged.size())));
+      damaged[at] ^= static_cast<uint8_t>(1u << (corrupt_bit & 7));
+      delivered = damaged;
     }
     DecodedMeetingMessage decoded = DecodeMeetingMessage(delivered);
     if (decoded.fragment == nullptr) return false;
-    received.owned_fragment = decoded.fragment;
-    received.fragment = received.owned_fragment.get();
-    received.scores = std::move(decoded.scores);
-    received.world = std::move(decoded.world);
-    received.owned_sketch = decoded.sketch;
-    received.page_sketch = received.owned_sketch.get();
-    received.wire_bytes = static_cast<double>(decoded.bytes_consumed);
     fraction = static_cast<double>(decoded.bytes_consumed) /
                static_cast<double>(sent.size());
+    AdoptDecoded(std::move(decoded), received);
     return true;
   };
 
@@ -450,17 +486,34 @@ bool JxpPeer::TruncateView(const PeerView& full, double keep_fraction, PeerView&
   out.fragment = owned.get();
   out.owned_fragment = std::move(owned);
   // The world node and page sketch ride at the tail of the message: lost.
-  out.world = WorldNode();
+  out.world = &EmptyWorld();
+  out.owned_world.reset();
   out.page_sketch = nullptr;
   out.wire_bytes = full.wire_bytes * keep_fraction;
   return true;
 }
 
-JxpPeer::PeerView JxpPeer::MakeView() const {
+void JxpPeer::AdoptDecoded(DecodedMeetingMessage&& decoded, PeerView& view) {
+  JXP_CHECK(decoded.fragment != nullptr);
+  view.owned_fragment = std::move(decoded.fragment);
+  view.fragment = view.owned_fragment.get();
+  view.scores = std::move(decoded.scores);
+  view.owned_world = std::make_shared<const WorldNode>(std::move(decoded.world));
+  view.world = view.owned_world.get();
+  view.owned_sketch = std::move(decoded.sketch);
+  view.page_sketch = view.owned_sketch.get();
+  view.wire_bytes = static_cast<double>(decoded.bytes_consumed);
+}
+
+JxpPeer::PeerView JxpPeer::MakeView(bool snapshot) const {
   PeerView view;
   view.fragment = &fragment_;
   view.scores = scores_;
-  view.world = world_;
+  view.world = &world_;
+  if (snapshot) {
+    view.owned_world = std::make_shared<const WorldNode>(world_);
+    view.world = view.owned_world.get();
+  }
   view.page_sketch = &page_sketch_;
   view.wire_bytes = MessageWireBytes();
   if (options_.estimate_global_size) {
@@ -474,7 +527,10 @@ JxpPeer::PeerView JxpPeer::MakeView() const {
     case AttackOptions::Type::kScoreInflation: {
       const double factor = options_.attack.inflation_factor;
       for (double& s : view.scores) s *= factor;
-      view.world.ScaleScores(factor);
+      auto scaled = std::make_shared<WorldNode>(world_);
+      scaled->ScaleScores(factor);
+      view.world = scaled.get();
+      view.owned_world = std::move(scaled);
       break;
     }
     case AttackOptions::Type::kRandomScores: {
@@ -521,7 +577,8 @@ double JxpPeer::ProcessMeeting(const PeerView& partner) {
   span.AddAttr("merge_mode",
                options_.merge_mode == MergeMode::kLightWeight ? "light_weight"
                                                               : "full_merge");
-  CpuTimer timer;
+  // Per-thread CPU: meetings on other threads must not be charged here.
+  ThreadCpuTimer timer;
   if (ShouldRejectMessage(partner)) {
     ++num_meetings_;
     ++rejected_meetings_;
@@ -577,56 +634,45 @@ void JxpPeer::ProcessLightWeight(const PeerView& partner) {
   // Fold the partner's local pages into our view: overlapping pages combine
   // score lists; external pages that link into our fragment enter the world
   // node with their out-degree, score, and the in-links they contribute.
-  std::vector<graph::PageId> targets;
+  // External dangling pages' mass reaches us via the uniform
+  // redistribution, which the world row models in aggregate.
   for (graph::Subgraph::LocalIndex k = 0; k < other.NumLocalPages(); ++k) {
-    const graph::PageId page = other.GlobalId(k);
-    const double reported = partner.scores[k];
-    const graph::Subgraph::LocalIndex mine = fragment_.LocalIndexOf(page);
-    if (mine != graph::Subgraph::kNotLocal) {
-      CombineLocalScore(mine, reported);
-      continue;
-    }
-    if (other.GlobalOutDegree(k) == 0) {
-      // External dangling page: its mass reaches us via the uniform
-      // redistribution, which the world row models in aggregate.
-      world_.ObserveDangling(page, reported, options_.combine_mode,
-                             options_.authoritative_refresh);
-      continue;
-    }
-    targets.clear();
-    for (graph::PageId successor : other.Successors(k)) {
-      if (fragment_.Contains(successor)) targets.push_back(successor);
-    }
-    if (!targets.empty()) {
-      world_.Observe(page, static_cast<uint32_t>(other.GlobalOutDegree(k)), reported,
-                     targets, options_.combine_mode, options_.authoritative_refresh);
-    }
+    const graph::Subgraph::LocalIndex mine = fragment_.LocalIndexOf(other.GlobalId(k));
+    if (mine != graph::Subgraph::kNotLocal) CombineLocalScore(mine, partner.scores[k]);
   }
+  const auto reported = [&partner](graph::Subgraph::LocalIndex k) {
+    return partner.scores[k];
+  };
+  world_.Merge(PagesAsWorld(other, fragment_, reported), options_.combine_mode,
+               options_.authoritative_refresh);
   // Fold the partner's world node: entries about our own pages refresh our
   // score list; entries about external pages that link into our fragment
   // extend our world node (the "union of the links represented in them").
-  for (const auto& [page, info] : partner.world.entries()) {
+  const WorldNode& theirs = *partner.world;
+  WorldNode learned;
+  std::vector<graph::PageId> targets;
+  for (size_t e = 0; e < theirs.NumEntries(); ++e) {
+    const graph::PageId page = theirs.pages()[e];
     const graph::Subgraph::LocalIndex mine = fragment_.LocalIndexOf(page);
     if (mine != graph::Subgraph::kNotLocal) {
-      CombineLocalScore(mine, info.score);
+      CombineLocalScore(mine, theirs.scores()[e]);
       continue;
     }
-    targets.clear();
-    for (graph::PageId target : info.targets) {
-      if (fragment_.Contains(target)) targets.push_back(target);
-    }
+    ProjectTargets(fragment_, theirs.targets(e), targets);
     if (!targets.empty()) {
-      world_.Observe(page, info.out_degree, info.score, targets, options_.combine_mode);
+      learned.AppendEntry(page, theirs.out_degrees()[e], theirs.scores()[e], targets);
     }
   }
-  for (const auto& [page, score] : partner.world.dangling_scores()) {
+  for (size_t d = 0; d < theirs.dangling_pages().size(); ++d) {
+    const graph::PageId page = theirs.dangling_pages()[d];
     const graph::Subgraph::LocalIndex mine = fragment_.LocalIndexOf(page);
     if (mine != graph::Subgraph::kNotLocal) {
-      CombineLocalScore(mine, score);
+      CombineLocalScore(mine, theirs.dangling_scores()[d]);
     } else {
-      world_.ObserveDangling(page, score, options_.combine_mode);
+      learned.AppendDangling(page, theirs.dangling_scores()[d]);
     }
   }
+  world_.Merge(learned, options_.combine_mode);
   if (world_timer.has_value()) {
     GetMeetingMetrics().world_update_ms.Observe(world_timer->ElapsedMillis());
   }
@@ -658,20 +704,8 @@ void JxpPeer::ProcessFullMerge(const PeerView& partner) {
   // Merged world node W_M: union of both world nodes minus links that became
   // explicit in G_M (paper: T_M = (T_A ∪ T_B) − E_M; entries whose source
   // page is itself in V_M are dropped because those links are now edges).
-  WorldNode merged_world;
-  const auto absorb_world = [&](const WorldNode& w) {
-    for (const auto& [page, info] : w.entries()) {
-      if (merged.Contains(page)) continue;
-      merged_world.Observe(page, info.out_degree, info.score, info.targets,
-                           options_.combine_mode);
-    }
-    for (const auto& [page, score] : w.dangling_scores()) {
-      if (merged.Contains(page)) continue;
-      merged_world.ObserveDangling(page, score, options_.combine_mode);
-    }
-  };
-  absorb_world(world_);
-  absorb_world(partner.world);
+  WorldNode merged_world = WorldNode::Union(world_, *partner.world, options_.combine_mode,
+                                            /*authoritative=*/false, merged.Pages());
   if (world_timer.has_value()) {
     GetMeetingMetrics().world_update_ms.Observe(world_timer->ElapsedMillis());
   }
@@ -723,39 +757,14 @@ void JxpPeer::ProcessFullMerge(const PeerView& partner) {
   }
   // ... and a new world node: W_M's links into V_A, plus the partner's pages
   // (E_B links) that point into V_A, now valued at their merged PR scores.
-  WorldNode new_world;
-  std::vector<graph::PageId> targets;
-  for (const auto& [page, info] : merged_world.entries()) {
-    targets.clear();
-    for (graph::PageId t : info.targets) {
-      if (fragment_.Contains(t)) targets.push_back(t);
-    }
-    if (!targets.empty()) {
-      new_world.Observe(page, info.out_degree, info.score, targets, options_.combine_mode);
-    }
-  }
-  for (const auto& [page, score] : merged_world.dangling_scores()) {
-    new_world.ObserveDangling(page, score, options_.combine_mode);
-  }
-  for (graph::Subgraph::LocalIndex k = 0; k < other.NumLocalPages(); ++k) {
-    const graph::PageId page = other.GlobalId(k);
-    if (fragment_.Contains(page)) continue;
-    const double score = result.distribution[merged.LocalIndexOf(page)];
-    if (other.GlobalOutDegree(k) == 0) {
-      new_world.ObserveDangling(page, score, options_.combine_mode,
-                                options_.authoritative_refresh);
-      continue;
-    }
-    targets.clear();
-    for (graph::PageId successor : other.Successors(k)) {
-      if (fragment_.Contains(successor)) targets.push_back(successor);
-    }
-    if (!targets.empty()) {
-      new_world.Observe(page, static_cast<uint32_t>(other.GlobalOutDegree(k)), score,
-                        targets, options_.combine_mode, options_.authoritative_refresh);
-    }
-  }
-  world_ = std::move(new_world);
+  // The two are disjoint: W_M holds no page of G_M.
+  merged_world.Retain([](graph::PageId) { return true; },
+                      [this](graph::PageId t) { return fragment_.Contains(t); });
+  const auto merged_score = [&](graph::Subgraph::LocalIndex k) {
+    return result.distribution[merged.LocalIndexOf(other.GlobalId(k))];
+  };
+  world_ = WorldNode::Union(merged_world, PagesAsWorld(other, fragment_, merged_score),
+                            options_.combine_mode, options_.authoritative_refresh);
   // The world node again represents *everything* outside V_A (including the
   // partner's pages), so its score is the complement of the local mass.
   double my_mass = 0;
@@ -987,12 +996,11 @@ void JxpPeer::ReplaceFragment(graph::Subgraph fragment) {
     const graph::Subgraph::LocalIndex old = fragment_.LocalIndexOf(page);
     if (old != graph::Subgraph::kNotLocal) {
       new_scores[i] = scores_[old];
-    } else if (const ExternalPageInfo* info = world_.Find(page)) {
+    } else if (const auto info = world_.Find(page)) {
       // The page was known through the world node: keep that estimate.
       new_scores[i] = std::max(info->score, 1.0 / static_cast<double>(global_size_));
-    } else if (const auto it = world_.dangling_scores().find(page);
-               it != world_.dangling_scores().end()) {
-      new_scores[i] = std::max(it->second, 1.0 / static_cast<double>(global_size_));
+    } else if (const auto dangling = world_.FindDangling(page)) {
+      new_scores[i] = std::max(*dangling, 1.0 / static_cast<double>(global_size_));
     } else {
       new_scores[i] = 1.0 / static_cast<double>(global_size_);
     }
@@ -1009,32 +1017,16 @@ void JxpPeer::ReplaceFragment(graph::Subgraph fragment) {
   incremental_.Invalidate();
   // Drop world knowledge about pages that became local, and in-links aimed
   // at pages we no longer hold.
-  for (graph::Subgraph::LocalIndex i = 0; i < fragment_.NumLocalPages(); ++i) {
-    world_.Erase(fragment_.GlobalId(i));
-  }
-  world_.FilterTargets([this](graph::PageId t) { return fragment_.Contains(t); });
+  world_.Retain([this](graph::PageId page) { return !fragment_.Contains(page); },
+                [this](graph::PageId t) { return fragment_.Contains(t); });
   // Retain what the peer learned from crawling the dropped pages: a dropped
   // page that links into the retained set becomes a world-node entry with
   // its last known score.
-  std::vector<graph::PageId> targets;
-  for (graph::Subgraph::LocalIndex i = 0; i < old_fragment.NumLocalPages(); ++i) {
-    const graph::PageId page = old_fragment.GlobalId(i);
-    if (fragment_.Contains(page)) continue;
-    if (old_fragment.GlobalOutDegree(i) == 0) {
-      world_.ObserveDangling(page, old_scores[i], options_.combine_mode,
-                             options_.authoritative_refresh);
-      continue;
-    }
-    targets.clear();
-    for (graph::PageId successor : old_fragment.Successors(i)) {
-      if (fragment_.Contains(successor)) targets.push_back(successor);
-    }
-    if (!targets.empty()) {
-      world_.Observe(page, static_cast<uint32_t>(old_fragment.GlobalOutDegree(i)),
-                     old_scores[i], targets, options_.combine_mode,
-                     options_.authoritative_refresh);
-    }
-  }
+  const auto last_known = [&old_scores](graph::Subgraph::LocalIndex i) {
+    return old_scores[i];
+  };
+  world_.Merge(PagesAsWorld(old_fragment, fragment_, last_known), options_.combine_mode,
+               options_.authoritative_refresh);
   // The re-crawl may have discovered new pages; the sketch only ever grows
   // (departed pages still exist in the global graph).
   SeedPageSketch();

@@ -19,6 +19,8 @@
 namespace jxp {
 namespace core {
 
+struct DecodedMeetingMessage;
+
 /// Measurements of one peer meeting.
 struct MeetingOutcome {
   /// Total bytes moved over the wire (both directions). Under
@@ -244,18 +246,30 @@ class JxpPeer {
   struct PeerView {
     const graph::Subgraph* fragment = nullptr;
     std::vector<double> scores;  // By the fragment's local index.
-    WorldNode world;
+    const WorldNode* world = nullptr;
     const synopses::HashSketch* page_sketch = nullptr;
     double wire_bytes = 0;
     /// Storage backing `fragment` for truncated (fault-injected) and
     /// wire-decoded views; the clean path points `fragment` at the sender's
     /// own fragment instead.
     std::shared_ptr<const graph::Subgraph> owned_fragment;
+    /// Storage backing `world` for snapshots, the score-inflation attack,
+    /// and wire-decoded views; otherwise `world` points at the sender's own.
+    std::shared_ptr<const WorldNode> owned_world;
     /// Storage backing `page_sketch` for wire-decoded views.
     std::shared_ptr<const synopses::HashSketch> owned_sketch;
   };
 
-  PeerView MakeView() const;
+  /// The sender's outgoing message. With `snapshot` the view owns a copy of
+  /// the world node, so it outlives changes to the sender (the estimated
+  /// meeting path applies one side before the other reads its message);
+  /// without, it points at the sender's world node and is only valid until
+  /// the sender changes.
+  PeerView MakeView(bool snapshot) const;
+
+  /// Fills `view`'s fragment, scores, world and sketch from a decoded
+  /// meeting message (which must carry a fragment).
+  static void AdoptDecoded(DecodedMeetingMessage&& decoded, PeerView& view);
 
   /// The kMeasured meeting path: both views are serialized through the wire
   /// codec, faults (drop / truncation / bit corruption) act on the real

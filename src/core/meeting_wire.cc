@@ -1,6 +1,5 @@
 #include "core/meeting_wire.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
@@ -16,32 +15,11 @@ std::vector<uint8_t> EncodeMeetingMessage(const graph::Subgraph& fragment,
   std::vector<uint8_t> out;
   wire::EncodeScoreList(fragment, scores, options, out);
 
-  // The codec wants world records sorted by page id; the world node stores
-  // hash maps, so flatten and sort (targets are already sorted unique).
-  std::vector<wire::WorldEntryIn> entries;
-  entries.reserve(world.NumEntries());
-  for (const auto& [page, info] : world.entries()) {
-    wire::WorldEntryIn entry;
-    entry.page = page;
-    entry.out_degree = info.out_degree;
-    entry.score = info.score;
-    entry.targets = info.targets;
-    entries.push_back(entry);
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const wire::WorldEntryIn& a, const wire::WorldEntryIn& b) {
-              return a.page < b.page;
-            });
-  std::vector<wire::DanglingIn> dangling;
-  dangling.reserve(world.dangling_scores().size());
-  for (const auto& [page, score] : world.dangling_scores()) {
-    dangling.push_back({page, score});
-  }
-  std::sort(dangling.begin(), dangling.end(),
-            [](const wire::DanglingIn& a, const wire::DanglingIn& b) {
-              return a.page < b.page;
-            });
-  wire::EncodeWorldKnowledge(entries, dangling, out);
+  // The world node already stores the codec's page-sorted layout.
+  wire::EncodeWorldKnowledge(
+      {world.pages(), world.out_degrees(), world.scores(), world.target_offsets(),
+       world.all_targets(), world.dangling_pages(), world.dangling_scores()},
+      out);
 
   if (sketch != nullptr) wire::EncodeSynopsis(*sketch, out);
   return out;
@@ -77,13 +55,11 @@ DecodedMeetingMessage DecodeMeetingMessage(std::span<const uint8_t> bytes) {
     result.fragment = std::move(fragment);
   }
 
-  for (const wire::WorldEntryOut& entry : decoded.world_entries) {
-    result.world.Observe(entry.page, entry.out_degree, entry.score, entry.targets,
-                         CombineMode::kTakeMax);
-  }
-  for (const wire::DanglingOut& record : decoded.world_dangling) {
-    result.world.ObserveDangling(record.page, record.score, CombineMode::kTakeMax);
-  }
+  wire::DecodedWorld& world = decoded.world;
+  result.world = WorldNode::FromArrays(
+      std::move(world.pages), std::move(world.out_degrees), std::move(world.scores),
+      std::move(world.target_offsets), std::move(world.targets),
+      std::move(world.dangling_pages), std::move(world.dangling_scores));
 
   if (decoded.has_synopsis) {
     result.sketch = std::make_shared<synopses::HashSketch>(

@@ -38,17 +38,20 @@ Status SavePeerState(const JxpPeer& peer, const std::string& path) {
     body << "\n";
   }
 
+  // World records in ascending page order (the world node's own order), so
+  // the file is a function of the peer's state alone.
   const WorldNode& world = peer.world_node();
   body << "world_entries " << world.NumEntries() << "\n";
-  for (const auto& [page, info] : world.entries()) {
-    body << page << " " << info.out_degree << " " << info.score << " "
+  for (size_t e = 0; e < world.NumEntries(); ++e) {
+    const ExternalPageInfo info = world.entry(e);
+    body << info.page << " " << info.out_degree << " " << info.score << " "
          << info.targets.size();
     for (graph::PageId t : info.targets) body << " " << t;
     body << "\n";
   }
-  body << "dangling " << world.dangling_scores().size() << "\n";
-  for (const auto& [page, score] : world.dangling_scores()) {
-    body << page << " " << score << "\n";
+  body << "dangling " << world.dangling_pages().size() << "\n";
+  for (size_t d = 0; d < world.dangling_pages().size(); ++d) {
+    body << world.dangling_pages()[d] << " " << world.dangling_scores()[d] << "\n";
   }
 
   const std::string content = body.str();
@@ -148,6 +151,8 @@ StatusOr<JxpPeer> LoadPeerState(const std::string& path, const JxpOptions& optio
     if (count == 0) return Status::Corruption(path + ": world entry without targets");
     // Validate before WorldNode::Observe: its invariants are JXP_CHECKs,
     // and a tampered file must surface as Corruption, not a process abort.
+    // Observe appends page-sorted records (what SavePeerState writes) in
+    // O(|targets|) and still merges records in any other order.
     if (out_degree == 0) {
       return Status::Corruption(path + ": world entry with zero out-degree");
     }

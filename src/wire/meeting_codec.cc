@@ -138,26 +138,32 @@ Status DecodeWorldKnowledge(std::span<const uint8_t> payload, DecodedMeeting& ou
   uint32_t num_entries = 0;
   if (!reader.GetVarint32(&num_entries)) return BadPayload("truncated world header");
   if (num_entries > payload.size()) return BadPayload("world count exceeds payload");
-  std::vector<WorldEntryOut> entries;
-  entries.reserve(num_entries);
+  // Parse into a scratch record so a mid-frame failure leaves `out` with
+  // whole frames only.
+  DecodedWorld world;
+  world.pages.reserve(num_entries);
+  world.out_degrees.reserve(num_entries);
+  world.scores.reserve(num_entries);
+  world.target_offsets.reserve(num_entries + 1);
   graph::PageId prev_page = 0;
   for (uint32_t i = 0; i < num_entries; ++i) {
-    WorldEntryOut entry;
-    if (!ReadAscendingId(reader, i == 0, prev_page, &entry.page)) {
+    graph::PageId page = 0;
+    if (!ReadAscendingId(reader, i == 0, prev_page, &page)) {
       return BadPayload("world pages not strictly ascending");
     }
-    prev_page = entry.page;
-    if (!ReadScore(reader, &entry.score)) return BadPayload("invalid world score");
-    if (!reader.GetVarint32(&entry.out_degree) || entry.out_degree == 0) {
+    prev_page = page;
+    float score = 0;
+    if (!ReadScore(reader, &score)) return BadPayload("invalid world score");
+    uint32_t out_degree = 0;
+    if (!reader.GetVarint32(&out_degree) || out_degree == 0) {
       return BadPayload("invalid world out-degree");
     }
     uint32_t num_targets = 0;
     if (!reader.GetVarint32(&num_targets) || num_targets == 0 ||
-        num_targets > entry.out_degree) {
+        num_targets > out_degree) {
       return BadPayload("world target count out of range");
     }
     if (num_targets > payload.size()) return BadPayload("target count exceeds payload");
-    entry.targets.reserve(num_targets);
     graph::PageId prev_target = 0;
     for (uint32_t j = 0; j < num_targets; ++j) {
       graph::PageId target = 0;
@@ -165,31 +171,35 @@ Status DecodeWorldKnowledge(std::span<const uint8_t> payload, DecodedMeeting& ou
         return BadPayload("world targets not strictly ascending");
       }
       prev_target = target;
-      entry.targets.push_back(target);
+      world.targets.push_back(target);
     }
-    entries.push_back(std::move(entry));
+    world.pages.push_back(page);
+    world.out_degrees.push_back(out_degree);
+    world.scores.push_back(score);
+    world.target_offsets.push_back(static_cast<uint32_t>(world.targets.size()));
   }
   uint32_t num_dangling = 0;
   if (!reader.GetVarint32(&num_dangling)) return BadPayload("truncated dangling header");
   if (num_dangling > payload.size()) return BadPayload("dangling count exceeds payload");
-  std::vector<DanglingOut> dangling;
-  dangling.reserve(num_dangling);
+  world.dangling_pages.reserve(num_dangling);
+  world.dangling_scores.reserve(num_dangling);
   prev_page = 0;
   for (uint32_t i = 0; i < num_dangling; ++i) {
-    DanglingOut record;
-    if (!ReadAscendingId(reader, i == 0, prev_page, &record.page)) {
+    graph::PageId page = 0;
+    if (!ReadAscendingId(reader, i == 0, prev_page, &page)) {
       return BadPayload("dangling pages not strictly ascending");
     }
-    prev_page = record.page;
-    if (!ReadScore(reader, &record.score)) return BadPayload("invalid dangling score");
-    dangling.push_back(record);
+    prev_page = page;
+    float score = 0;
+    if (!ReadScore(reader, &score)) return BadPayload("invalid dangling score");
+    world.dangling_pages.push_back(page);
+    world.dangling_scores.push_back(score);
   }
   if (!reader.AtEnd()) return BadPayload("trailing bytes in world frame");
-  if (entries.empty() && dangling.empty()) {
+  if (world.pages.empty() && world.dangling_pages.empty()) {
     return BadPayload("empty world frame");  // Empty world knowledge is not framed.
   }
-  out.world_entries = std::move(entries);
-  out.world_dangling = std::move(dangling);
+  out.world = std::move(world);
   return Status::OK();
 }
 
@@ -260,42 +270,51 @@ void EncodeScoreList(const graph::Subgraph& fragment, std::span<const double> sc
   }
 }
 
-void EncodeWorldKnowledge(std::span<const WorldEntryIn> entries,
-                          std::span<const DanglingIn> dangling,
-                          std::vector<uint8_t>& out) {
-  if (entries.empty() && dangling.empty()) return;
+void EncodeWorldKnowledge(const WorldKnowledgeView& world, std::vector<uint8_t>& out) {
+  const size_t num_entries = world.pages.size();
+  if (num_entries == 0 && world.dangling_pages.empty()) return;
+  JXP_CHECK_EQ(world.out_degrees.size(), num_entries);
+  JXP_CHECK_EQ(world.scores.size(), num_entries);
+  if (num_entries > 0) {
+    JXP_CHECK_EQ(world.target_offsets.size(), num_entries + 1);
+  }
+  JXP_CHECK_EQ(world.dangling_scores.size(), world.dangling_pages.size());
   const size_t payload_start = out.size();
   ByteWriter writer(out);
-  writer.PutVarint32(static_cast<uint32_t>(entries.size()));
+  writer.PutVarint32(static_cast<uint32_t>(num_entries));
   graph::PageId prev = 0;
-  for (size_t i = 0; i < entries.size(); ++i) {
-    const WorldEntryIn& entry = entries[i];
-    JXP_CHECK_GE(entry.out_degree, 1u);
-    JXP_CHECK_GE(entry.targets.size(), 1u);
-    JXP_CHECK_LE(entry.targets.size(), entry.out_degree);
+  for (size_t i = 0; i < num_entries; ++i) {
+    const graph::PageId page = world.pages[i];
+    const uint32_t out_degree = world.out_degrees[i];
+    const std::span<const graph::PageId> targets = world.targets.subspan(
+        world.target_offsets[i], world.target_offsets[i + 1] - world.target_offsets[i]);
+    JXP_CHECK_GE(out_degree, 1u);
+    JXP_CHECK_GE(targets.size(), 1u);
+    JXP_CHECK_LE(targets.size(), out_degree);
     if (i == 0) {
-      writer.PutVarint32(entry.page);
+      writer.PutVarint32(page);
     } else {
-      JXP_CHECK_GT(entry.page, prev) << "world entries must be sorted by page";
-      writer.PutVarint32(entry.page - prev);
+      JXP_CHECK_GT(page, prev) << "world entries must be sorted by page";
+      writer.PutVarint32(page - prev);
     }
-    prev = entry.page;
-    writer.PutFloat(LowerBoundFloat(entry.score));
-    writer.PutVarint32(entry.out_degree);
-    writer.PutVarint32(static_cast<uint32_t>(entry.targets.size()));
-    WriteAscendingIds(writer, entry.targets);
+    prev = page;
+    writer.PutFloat(LowerBoundFloat(world.scores[i]));
+    writer.PutVarint32(out_degree);
+    writer.PutVarint32(static_cast<uint32_t>(targets.size()));
+    WriteAscendingIds(writer, targets);
   }
-  writer.PutVarint32(static_cast<uint32_t>(dangling.size()));
+  writer.PutVarint32(static_cast<uint32_t>(world.dangling_pages.size()));
   prev = 0;
-  for (size_t i = 0; i < dangling.size(); ++i) {
+  for (size_t i = 0; i < world.dangling_pages.size(); ++i) {
+    const graph::PageId page = world.dangling_pages[i];
     if (i == 0) {
-      writer.PutVarint32(dangling[i].page);
+      writer.PutVarint32(page);
     } else {
-      JXP_CHECK_GT(dangling[i].page, prev) << "dangling records must be sorted";
-      writer.PutVarint32(dangling[i].page - prev);
+      JXP_CHECK_GT(page, prev) << "dangling records must be sorted";
+      writer.PutVarint32(page - prev);
     }
-    prev = dangling[i].page;
-    writer.PutFloat(LowerBoundFloat(dangling[i].score));
+    prev = page;
+    writer.PutFloat(LowerBoundFloat(world.dangling_scores[i]));
   }
   SealFrame(MessageType::kWorldKnowledge, payload_start, out);
   if (obs::Enabled()) {

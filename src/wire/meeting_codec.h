@@ -26,19 +26,20 @@ struct EncodeOptions {
   size_t pages_per_chunk = 64;
 };
 
-/// One world-node entry as shipped on the wire (encode side: target list
-/// viewed in place, sorted unique ascending as WorldNode stores it).
-struct WorldEntryIn {
-  graph::PageId page = 0;
-  uint32_t out_degree = 0;
-  double score = 0;
+/// Encode-side world knowledge, viewed in place in the flat page-sorted
+/// layout core::WorldNode stores: entry i is pages[i] with out_degrees[i],
+/// scores[i] and the targets [target_offsets[i], target_offsets[i+1]) of
+/// `targets` (sorted unique ascending); dangling records are
+/// dangling_pages[i] / dangling_scores[i]. An empty view has empty spans
+/// throughout (target_offsets may then be empty or {0}).
+struct WorldKnowledgeView {
+  std::span<const graph::PageId> pages;
+  std::span<const uint32_t> out_degrees;
+  std::span<const double> scores;
+  std::span<const uint32_t> target_offsets;
   std::span<const graph::PageId> targets;
-};
-
-/// Encode-side dangling-page record.
-struct DanglingIn {
-  graph::PageId page = 0;
-  double score = 0;
+  std::span<const graph::PageId> dangling_pages;
+  std::span<const double> dangling_scores;
 };
 
 /// Decode-side page-table record. `score` is the sender's score after the
@@ -49,18 +50,18 @@ struct ScoreListPage {
   std::vector<graph::PageId> successors;
 };
 
-/// Decode-side world-node entry.
-struct WorldEntryOut {
-  graph::PageId page = 0;
-  uint32_t out_degree = 0;
-  float score = 0;
+/// Decode-side world knowledge, in the layout of WorldKnowledgeView (so the
+/// core layer adopts the arrays without re-sorting). Scores are the
+/// sender's after the wire's round-down float quantization, widened to
+/// double exactly.
+struct DecodedWorld {
+  std::vector<graph::PageId> pages;
+  std::vector<uint32_t> out_degrees;
+  std::vector<double> scores;
+  std::vector<uint32_t> target_offsets = {0};
   std::vector<graph::PageId> targets;
-};
-
-/// Decode-side dangling-page record.
-struct DanglingOut {
-  graph::PageId page = 0;
-  float score = 0;
+  std::vector<graph::PageId> dangling_pages;
+  std::vector<double> dangling_scores;
 };
 
 /// Everything the decoder recovered from the (possibly truncated or
@@ -72,8 +73,7 @@ struct DecodedMeeting {
   std::vector<ScoreListPage> pages;
   /// World knowledge; empty when the world frame was absent, lost, or the
   /// sender's world node was empty (an empty world node is not framed).
-  std::vector<WorldEntryOut> world_entries;
-  std::vector<DanglingOut> world_dangling;
+  DecodedWorld world;
   /// Page sketch; present iff a synopsis frame arrived intact.
   bool has_synopsis = false;
   uint64_t synopsis_seed = 0;
@@ -102,12 +102,10 @@ struct DecodedMeeting {
 void EncodeScoreList(const graph::Subgraph& fragment, std::span<const double> scores,
                      const EncodeOptions& options, std::vector<uint8_t>& out);
 
-/// Appends one kWorldKnowledge frame. `entries` and `dangling` must be
-/// sorted by page id ascending (strictly); entries need out_degree >= 1 and
-/// 1 <= |targets| <= out_degree. Appends nothing when both are empty.
-void EncodeWorldKnowledge(std::span<const WorldEntryIn> entries,
-                          std::span<const DanglingIn> dangling,
-                          std::vector<uint8_t>& out);
+/// Appends one kWorldKnowledge frame. Entry and dangling pages must be
+/// strictly ascending; entries need out_degree >= 1 and
+/// 1 <= |targets| <= out_degree. Appends nothing when `world` is empty.
+void EncodeWorldKnowledge(const WorldKnowledgeView& world, std::vector<uint8_t>& out);
 
 /// Appends one kSynopsis frame.
 void EncodeSynopsis(const synopses::HashSketch& sketch, std::vector<uint8_t>& out);

@@ -1,10 +1,13 @@
 #include "core/jxp_peer.h"
 
 #include <cmath>
+#include <latch>
+#include <thread>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/timer.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/subgraph.h"
@@ -87,8 +90,8 @@ TEST(JxpPeerTest, MeetingTransfersInLinkKnowledge) {
 
   // A now knows that page 3 (out-degree 1) points at its local page 2.
   ASSERT_EQ(a.world_node().NumEntries(), 1u);
-  const ExternalPageInfo* info = a.world_node().Find(3);
-  ASSERT_NE(info, nullptr);
+  const auto info = a.world_node().Find(3);
+  ASSERT_TRUE(info.has_value());
   EXPECT_EQ(info->out_degree, 1u);
   ASSERT_EQ(info->targets.size(), 1u);
   EXPECT_EQ(info->targets[0], 2u);
@@ -102,10 +105,10 @@ TEST(JxpPeerTest, MeetingsAreSymmetricInKnowledge) {
   JxpPeer b(1, graph::Subgraph::Induce(g, {2, 3}), g.NumNodes(), TightOptions());
   JxpPeer::Meet(a, b);
   // B learns 0 -> 2 and 1 -> 2 (pages 0 and 1 point into B's page 2).
-  EXPECT_NE(b.world_node().Find(0), nullptr);
-  EXPECT_NE(b.world_node().Find(1), nullptr);
+  EXPECT_TRUE(b.world_node().Find(0).has_value());
+  EXPECT_TRUE(b.world_node().Find(1).has_value());
   // A learns 2 -> 0 (page 2 points into A's page 0).
-  EXPECT_NE(a.world_node().Find(2), nullptr);
+  EXPECT_TRUE(a.world_node().Find(2).has_value());
 }
 
 TEST(JxpPeerTest, RepeatedMeetingsReachAFixpoint) {
@@ -172,9 +175,10 @@ TEST(JxpPeerTest, ReplaceFragmentKeepsKnownScores) {
   // self-heals; see the assertion below.)
   EXPECT_NEAR(a.ScoreOfGlobal(0), score_0, 0.06);
   // World knowledge no longer references dropped pages.
-  for (const auto& [page, info] : a.world_node().entries()) {
-    EXPECT_FALSE(a.fragment().Contains(page));
-    for (graph::PageId t : info.targets) {
+  const WorldNode& world = a.world_node();
+  for (size_t e = 0; e < world.NumEntries(); ++e) {
+    EXPECT_FALSE(a.fragment().Contains(world.pages()[e]));
+    for (graph::PageId t : world.targets(e)) {
       EXPECT_TRUE(a.fragment().Contains(t));
     }
   }
@@ -273,6 +277,51 @@ TEST(JxpPeerTest, TracksMeetingCpuTime) {
   EXPECT_EQ(a.num_meetings(), 2u);
   EXPECT_EQ(a.meeting_cpu_millis().size(), 2u);
   EXPECT_GE(a.meeting_cpu_millis()[0], 0.0);
+}
+
+TEST(JxpPeerTest, ConcurrentMeetingsAreChargedOnlyTheirOwnThreadsCpu) {
+  // Two threads run meetings at the same time, each on its own pair of
+  // peers. Each meeting's charged CPU must come from its own thread's
+  // clock, so a thread's charged meeting CPU can never exceed the CPU that
+  // thread spent (a process-wide clock charges both threads' work to each).
+  Random rng(23);
+  const graph::Graph g = graph::BarabasiAlbert(3000, 4, rng);
+  std::vector<graph::PageId> halves[2];
+  for (graph::PageId p = 0; p < g.NumNodes(); ++p) halves[p % 2].push_back(p);
+  std::vector<JxpPeer> peers;
+  for (int pair = 0; pair < 2; ++pair) {
+    for (int side = 0; side < 2; ++side) {
+      peers.emplace_back(static_cast<p2p::PeerId>(2 * pair + side),
+                         graph::Subgraph::Induce(g, halves[side]), g.NumNodes(),
+                         JxpOptions());
+    }
+  }
+  std::latch start(2);
+  double own_millis[2] = {0, 0};
+  double charged_millis[2] = {0, 0};
+  const auto run = [&](int pair) {
+    start.arrive_and_wait();
+    JxpPeer& a = peers[2 * pair];
+    JxpPeer& b = peers[2 * pair + 1];
+    const ThreadCpuTimer own;
+    for (int m = 0; m < 6; ++m) {
+      const MeetingOutcome outcome = JxpPeer::Meet(a, b);
+      charged_millis[pair] += outcome.cpu_millis_initiator + outcome.cpu_millis_partner;
+    }
+    own_millis[pair] = own.ElapsedMillis();
+  };
+  std::thread first(run, 0);
+  std::thread second(run, 1);
+  first.join();
+  second.join();
+  for (int pair = 0; pair < 2; ++pair) {
+    EXPECT_GT(charged_millis[pair], 0.0) << "pair " << pair;
+    EXPECT_LE(charged_millis[pair], own_millis[pair] + 1e-6) << "pair " << pair;
+    double recorded = 0;
+    for (double ms : peers[2 * pair].meeting_cpu_millis()) recorded += ms;
+    for (double ms : peers[2 * pair + 1].meeting_cpu_millis()) recorded += ms;
+    EXPECT_NEAR(recorded, charged_millis[pair], 1e-9 * charged_millis[pair]);
+  }
 }
 
 }  // namespace

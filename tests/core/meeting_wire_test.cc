@@ -1,5 +1,6 @@
 #include "core/meeting_wire.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -77,11 +78,12 @@ TEST(MeetingWireTest, MessageRoundTripsThroughTheCodec) {
 
   EXPECT_EQ(decoded.world.NumEntries(), a.world_node().NumEntries());
   EXPECT_EQ(decoded.world.NumLinks(), a.world_node().NumLinks());
-  for (const auto& [page, info] : a.world_node().entries()) {
-    const ExternalPageInfo* got = decoded.world.Find(page);
-    ASSERT_NE(got, nullptr) << "world entry " << page;
+  for (size_t e = 0; e < a.world_node().NumEntries(); ++e) {
+    const ExternalPageInfo info = a.world_node().entry(e);
+    const auto got = decoded.world.Find(info.page);
+    ASSERT_TRUE(got.has_value()) << "world entry " << info.page;
     EXPECT_EQ(got->out_degree, info.out_degree);
-    EXPECT_EQ(got->targets, info.targets);
+    EXPECT_TRUE(std::ranges::equal(got->targets, info.targets));
     EXPECT_LE(got->score, info.score);
   }
 

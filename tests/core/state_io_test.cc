@@ -1,7 +1,10 @@
 #include "core/state_io.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -58,12 +61,13 @@ TEST_F(StateIoTest, RoundTripPreservesEverything) {
               original.fragment().GlobalOutDegree(i));
   }
   ASSERT_EQ(loaded->world_node().NumEntries(), original.world_node().NumEntries());
-  for (const auto& [page, info] : original.world_node().entries()) {
-    const ExternalPageInfo* restored = loaded->world_node().Find(page);
-    ASSERT_NE(restored, nullptr) << "page " << page;
+  for (size_t e = 0; e < original.world_node().NumEntries(); ++e) {
+    const ExternalPageInfo info = original.world_node().entry(e);
+    const auto restored = loaded->world_node().Find(info.page);
+    ASSERT_TRUE(restored.has_value()) << "page " << info.page;
     EXPECT_EQ(restored->out_degree, info.out_degree);
     EXPECT_DOUBLE_EQ(restored->score, info.score);
-    EXPECT_EQ(restored->targets, info.targets);
+    EXPECT_TRUE(std::ranges::equal(restored->targets, info.targets));
   }
   EXPECT_DOUBLE_EQ(loaded->world_node().TotalDanglingScore(),
                    original.world_node().TotalDanglingScore());
@@ -87,6 +91,46 @@ TEST_F(StateIoTest, RestoredPeerResumesMeetings) {
   for (graph::Subgraph::LocalIndex i = 0; i < original.fragment().NumLocalPages(); ++i) {
     EXPECT_NEAR(loaded->local_scores()[i], original.local_scores()[i], 1e-14);
   }
+}
+
+/// The whole content of the file at `path`.
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+TEST_F(StateIoTest, SaveLoadSaveIsByteIdentical) {
+  // A graph with dangling pages, so the file carries both world sections.
+  Random rng(29);
+  graph::GraphBuilder builder(300);
+  for (graph::PageId u = 0; u < 300; ++u) {
+    if (u % 5 == 4) continue;  // Dangling.
+    for (int k = 0; k < 4; ++k) {
+      builder.AddEdge(u, static_cast<graph::PageId>(rng.NextBounded(300)));
+    }
+  }
+  const graph::Graph g = builder.Build();
+  std::vector<graph::PageId> pages[3];
+  for (graph::PageId p = 0; p < 300; ++p) pages[p % 3].push_back(p);
+  JxpOptions options;
+  JxpPeer a(0, graph::Subgraph::Induce(g, pages[0]), 300, options);
+  JxpPeer b(1, graph::Subgraph::Induce(g, pages[1]), 300, options);
+  JxpPeer c(2, graph::Subgraph::Induce(g, pages[2]), 300, options);
+  for (int i = 0; i < 4; ++i) {
+    JxpPeer::Meet(a, b);
+    JxpPeer::Meet(c, a);
+  }
+  ASSERT_GT(a.world_node().NumEntries(), 10u);
+  ASSERT_GT(a.world_node().dangling_pages().size(), 1u);
+
+  ASSERT_TRUE(SavePeerState(a, path_).ok());
+  const std::string first = ReadFile(path_);
+  auto loaded = LoadPeerState(path_, options);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ASSERT_TRUE(SavePeerState(*loaded, path_).ok());
+  EXPECT_EQ(ReadFile(path_), first);
 }
 
 TEST_F(StateIoTest, DetectsBitFlips) {

@@ -1,5 +1,8 @@
 #include "core/world_node.h"
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace jxp {
@@ -9,16 +12,24 @@ namespace {
 constexpr auto kMax = CombineMode::kTakeMax;
 constexpr auto kAvg = CombineMode::kAverage;
 
+/// The targets of `page`'s entry as a vector (empty when absent).
+std::vector<graph::PageId> TargetsOf(const WorldNode& w, graph::PageId page) {
+  const auto info = w.Find(page);
+  if (!info.has_value()) return {};
+  return {info->targets.begin(), info->targets.end()};
+}
+
 TEST(WorldNodeTest, FirstObservationStoresEverything) {
   WorldNode w;
   const std::vector<graph::PageId> targets = {5, 3, 5};  // Dup collapses.
   w.Observe(10, 4, 0.2, targets, kMax);
   ASSERT_EQ(w.NumEntries(), 1u);
-  const ExternalPageInfo* info = w.Find(10);
-  ASSERT_NE(info, nullptr);
+  const auto info = w.Find(10);
+  ASSERT_TRUE(info.has_value());
+  EXPECT_EQ(info->page, 10u);
   EXPECT_EQ(info->out_degree, 4u);
   EXPECT_DOUBLE_EQ(info->score, 0.2);
-  EXPECT_EQ(info->targets, (std::vector<graph::PageId>{3, 5}));
+  EXPECT_EQ(TargetsOf(w, 10), (std::vector<graph::PageId>{3, 5}));
   EXPECT_EQ(w.NumLinks(), 2u);
 }
 
@@ -54,7 +65,16 @@ TEST(WorldNodeTest, TargetListsUnion) {
   const std::vector<graph::PageId> t2 = {2, 3};
   w.Observe(10, 5, 0.1, t1, kMax);
   w.Observe(10, 5, 0.1, t2, kMax);
-  EXPECT_EQ(w.Find(10)->targets, (std::vector<graph::PageId>{1, 2, 3}));
+  EXPECT_EQ(TargetsOf(w, 10), (std::vector<graph::PageId>{1, 2, 3}));
+}
+
+TEST(WorldNodeTest, EntriesStayPageSortedWhateverTheObservationOrder) {
+  WorldNode w;
+  const std::vector<graph::PageId> t = {1};
+  for (graph::PageId page : {30u, 10u, 20u, 5u}) w.Observe(page, 2, 0.1, t, kMax);
+  for (graph::PageId page : {9u, 3u, 6u}) w.ObserveDangling(page, 0.1, kMax);
+  EXPECT_TRUE(std::ranges::equal(w.pages(), std::vector<graph::PageId>{5, 10, 20, 30}));
+  EXPECT_TRUE(std::ranges::equal(w.dangling_pages(), std::vector<graph::PageId>{3, 6, 9}));
 }
 
 TEST(WorldNodeTest, DanglingScores) {
@@ -65,6 +85,8 @@ TEST(WorldNodeTest, DanglingScores) {
   EXPECT_DOUBLE_EQ(w.TotalDanglingScore(), 0.3);
   w.ObserveDangling(7, 0.05, kMax, /*authoritative=*/true);
   EXPECT_DOUBLE_EQ(w.TotalDanglingScore(), 0.25);
+  EXPECT_DOUBLE_EQ(w.FindDangling(7).value(), 0.05);
+  EXPECT_FALSE(w.FindDangling(9).has_value());
 }
 
 TEST(WorldNodeTest, EraseRemovesBothKinds) {
@@ -72,22 +94,61 @@ TEST(WorldNodeTest, EraseRemovesBothKinds) {
   const std::vector<graph::PageId> t = {1};
   w.Observe(10, 2, 0.3, t, kMax);
   w.ObserveDangling(11, 0.2, kMax);
-  w.Erase(10);
-  w.Erase(11);
+  w.Retain([](graph::PageId page) { return page != 10 && page != 11; },
+           [](graph::PageId) { return true; });
   EXPECT_EQ(w.NumEntries(), 0u);
+  EXPECT_EQ(w.NumLinks(), 0u);
   EXPECT_DOUBLE_EQ(w.TotalDanglingScore(), 0.0);
+}
+
+TEST(WorldNodeTest, RetainFiltersPagesAndTargetsInOnePass) {
+  WorldNode w;
+  w.Observe(10, 4, 0.1, std::vector<graph::PageId>{1, 2}, kMax);
+  w.Observe(11, 4, 0.2, std::vector<graph::PageId>{3}, kMax);
+  w.Observe(12, 4, 0.3, std::vector<graph::PageId>{4, 5}, kMax);
+  w.ObserveDangling(11, 0.4, kMax);
+  w.ObserveDangling(13, 0.5, kMax);
+  w.Retain([](graph::PageId page) { return page != 11 && page != 14; },
+           [](graph::PageId t) { return t != 2; });
+  EXPECT_EQ(w.NumEntries(), 2u);
+  EXPECT_EQ(TargetsOf(w, 10), (std::vector<graph::PageId>{1}));
+  EXPECT_EQ(TargetsOf(w, 12), (std::vector<graph::PageId>{4, 5}));
+  EXPECT_DOUBLE_EQ(w.Find(12)->score, 0.3);
+  EXPECT_FALSE(w.FindDangling(11).has_value());
+  EXPECT_DOUBLE_EQ(w.FindDangling(13).value(), 0.5);
 }
 
 TEST(WorldNodeTest, FilterTargetsDropsEmptyEntries) {
   WorldNode w;
   const std::vector<graph::PageId> t1 = {1, 2};
   const std::vector<graph::PageId> t2 = {3};
+  const std::vector<graph::PageId> t3 = {0, 3};
   w.Observe(10, 4, 0.1, t1, kMax);
   w.Observe(11, 4, 0.1, t2, kMax);
-  w.FilterTargets([](graph::PageId t) { return t <= 2; });
-  EXPECT_NE(w.Find(10), nullptr);
-  EXPECT_EQ(w.Find(11), nullptr);
-  EXPECT_EQ(w.Find(10)->targets, (std::vector<graph::PageId>{1, 2}));
+  w.Observe(12, 4, 0.1, t3, kMax);
+  w.Retain([](graph::PageId) { return true; }, [](graph::PageId t) { return t <= 2; });
+  EXPECT_TRUE(w.Find(10).has_value());
+  EXPECT_FALSE(w.Find(11).has_value());
+  EXPECT_EQ(TargetsOf(w, 10), (std::vector<graph::PageId>{1, 2}));
+  EXPECT_EQ(TargetsOf(w, 12), (std::vector<graph::PageId>{0}));
+  EXPECT_EQ(w.NumLinks(), 3u);
+}
+
+TEST(WorldNodeTest, UnionSkipsExcludedPages) {
+  WorldNode a;
+  a.Observe(10, 2, 0.4, std::vector<graph::PageId>{1}, kAvg);
+  a.Observe(20, 2, 0.1, std::vector<graph::PageId>{1}, kAvg);
+  a.ObserveDangling(30, 0.2, kAvg);
+  WorldNode b;
+  b.Observe(10, 2, 0.2, std::vector<graph::PageId>{2}, kAvg);
+  b.Observe(25, 3, 0.3, std::vector<graph::PageId>{2}, kAvg);
+  b.ObserveDangling(30, 0.4, kAvg);
+  const std::vector<graph::PageId> excluded = {20, 25};
+  const WorldNode u = WorldNode::Union(a, b, kAvg, /*authoritative=*/false, excluded);
+  EXPECT_EQ(u.NumEntries(), 1u);
+  EXPECT_DOUBLE_EQ(u.Find(10)->score, 0.3);
+  EXPECT_EQ(TargetsOf(u, 10), (std::vector<graph::PageId>{1, 2}));
+  EXPECT_DOUBLE_EQ(u.FindDangling(30).value(), 0.30000000000000004);
 }
 
 TEST(WorldNodeTest, ScaleScores) {

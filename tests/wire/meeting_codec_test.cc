@@ -16,6 +16,16 @@ namespace jxp {
 namespace wire {
 namespace {
 
+/// World knowledge with one entry: page 100 (out-degree 2, score 0.1) links
+/// to page 5.
+constexpr graph::PageId kOnePage[] = {100};
+constexpr uint32_t kOneOutDegree[] = {2};
+constexpr double kOneScore[] = {0.1};
+constexpr uint32_t kOneOffsets[] = {0, 1};
+constexpr graph::PageId kOneTarget[] = {5};
+constexpr WorldKnowledgeView kOneEntry = {kOnePage, kOneOutDegree, kOneScore, kOneOffsets,
+                                          kOneTarget, {}, {}};
+
 /// A deterministic fragment of `n` pages with ids 3*i and a few successors
 /// per page (some local, some external).
 graph::Subgraph MakeFragment(size_t n) {
@@ -93,34 +103,33 @@ TEST(MeetingCodecTest, CompressionStaysUnderEightBytesPerEntry) {
 }
 
 TEST(MeetingCodecTest, WorldKnowledgeRoundTrips) {
-  const std::vector<graph::PageId> targets1 = {5, 9, 12};
-  const std::vector<graph::PageId> targets2 = {7};
-  const std::vector<WorldEntryIn> entries = {
-      {100, 4, 0.001, targets1},
-      {220, 1, 0.25, targets2},
-  };
-  const std::vector<DanglingIn> dangling = {{17, 0.0625}, {400, 0.125}};
+  const std::vector<graph::PageId> pages = {100, 220};
+  const std::vector<uint32_t> out_degrees = {4, 1};
+  const std::vector<double> scores = {0.001, 0.25};
+  const std::vector<uint32_t> offsets = {0, 3, 4};
+  const std::vector<graph::PageId> targets = {5, 9, 12, 7};
+  const std::vector<graph::PageId> dangling_pages = {17, 400};
+  const std::vector<double> dangling_scores = {0.0625, 0.125};
   std::vector<uint8_t> bytes;
-  EncodeWorldKnowledge(entries, dangling, bytes);
+  const WorldKnowledgeView world_in = {pages, out_degrees, scores, offsets,
+                                       targets, dangling_pages, dangling_scores};
+  EncodeWorldKnowledge(world_in, bytes);
 
   DecodedMeeting decoded;
   ASSERT_TRUE(DecodeMeetingStrict(bytes, &decoded).ok());
-  ASSERT_EQ(decoded.world_entries.size(), 2u);
-  EXPECT_EQ(decoded.world_entries[0].page, 100u);
-  EXPECT_EQ(decoded.world_entries[0].out_degree, 4u);
-  EXPECT_EQ(decoded.world_entries[0].score, LowerBoundFloat(0.001));
-  EXPECT_EQ(decoded.world_entries[0].targets, targets1);
-  EXPECT_EQ(decoded.world_entries[1].page, 220u);
-  EXPECT_EQ(decoded.world_entries[1].targets, targets2);
-  ASSERT_EQ(decoded.world_dangling.size(), 2u);
-  EXPECT_EQ(decoded.world_dangling[0].page, 17u);
-  EXPECT_EQ(decoded.world_dangling[0].score, LowerBoundFloat(0.0625));
-  EXPECT_EQ(decoded.world_dangling[1].page, 400u);
+  const DecodedWorld& world = decoded.world;
+  EXPECT_EQ(world.pages, pages);
+  EXPECT_EQ(world.out_degrees, out_degrees);
+  EXPECT_EQ(world.scores[0], LowerBoundFloat(0.001));
+  EXPECT_EQ(world.target_offsets, offsets);
+  EXPECT_EQ(world.targets, targets);
+  EXPECT_EQ(world.dangling_pages, dangling_pages);
+  EXPECT_EQ(world.dangling_scores[0], LowerBoundFloat(0.0625));
 }
 
 TEST(MeetingCodecTest, EmptyWorldKnowledgeIsNotFramed) {
   std::vector<uint8_t> bytes;
-  EncodeWorldKnowledge({}, {}, bytes);
+  EncodeWorldKnowledge({}, bytes);
   EXPECT_TRUE(bytes.empty());
 }
 
@@ -187,27 +196,22 @@ TEST(MeetingCodecTest, BitFlipRejectsOnlyTheDamagedSuffix) {
 
 TEST(MeetingCodecTest, OutOfOrderSectionsRejected) {
   const graph::Subgraph fragment = MakeFragment(40);
-  const std::vector<graph::PageId> targets = {5};
-  const std::vector<WorldEntryIn> entries = {{100, 2, 0.1, targets}};
-
   // World frame before the score chunks: the world decodes, the late score
   // chunk is rejected.
   std::vector<uint8_t> bytes;
-  EncodeWorldKnowledge(entries, {}, bytes);
+  EncodeWorldKnowledge(kOneEntry, bytes);
   EncodeScoreList(fragment, MakeScores(40), EncodeOptions{}, bytes);
   const DecodedMeeting decoded = DecodeMeeting(bytes);
   EXPECT_FALSE(decoded.error.ok());
-  EXPECT_EQ(decoded.world_entries.size(), 1u);
+  EXPECT_EQ(decoded.world.pages.size(), 1u);
   EXPECT_TRUE(decoded.pages.empty());
 }
 
 TEST(MeetingCodecTest, DuplicateWorldAndSynopsisFramesRejected) {
-  const std::vector<graph::PageId> targets = {5};
-  const std::vector<WorldEntryIn> entries = {{100, 2, 0.1, targets}};
   {
     std::vector<uint8_t> bytes;
-    EncodeWorldKnowledge(entries, {}, bytes);
-    EncodeWorldKnowledge(entries, {}, bytes);
+    EncodeWorldKnowledge(kOneEntry, bytes);
+    EncodeWorldKnowledge(kOneEntry, bytes);
     DecodedMeeting out;
     EXPECT_FALSE(DecodeMeetingStrict(bytes, &out).ok());
   }
@@ -249,9 +253,7 @@ TEST(MeetingCodecTest, ResyncOffsetSkipsSemanticallyRejectedFrame) {
   AppendFrame(MessageType::kScoreChunk, payload, bytes);
   const size_t bad_frame_end = bytes.size();
 
-  const std::vector<graph::PageId> targets = {5};
-  const std::vector<WorldEntryIn> entries = {{100, 2, 0.1, targets}};
-  EncodeWorldKnowledge(entries, {}, bytes);
+  EncodeWorldKnowledge(kOneEntry, bytes);
 
   const DecodedMeeting decoded = DecodeMeeting(bytes);
   EXPECT_FALSE(decoded.error.ok());
@@ -262,8 +264,8 @@ TEST(MeetingCodecTest, ResyncOffsetSkipsSemanticallyRejectedFrame) {
   const DecodedMeeting rest = DecodeMeeting(
       std::span<const uint8_t>(bytes).subspan(decoded.resync_offset));
   EXPECT_TRUE(rest.error.ok()) << rest.error.ToString();
-  ASSERT_EQ(rest.world_entries.size(), 1u);
-  EXPECT_EQ(rest.world_entries[0].page, 100u);
+  ASSERT_EQ(rest.world.pages.size(), 1u);
+  EXPECT_EQ(rest.world.pages[0], 100u);
 }
 
 TEST(MeetingCodecTest, ResyncOffsetEqualsConsumedWhenFrameUntrustworthy) {
