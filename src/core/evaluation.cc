@@ -1,5 +1,7 @@
 #include "core/evaluation.h"
 
+#include <utility>
+
 #include "metrics/error.h"
 
 namespace jxp {
@@ -7,19 +9,33 @@ namespace core {
 
 std::unordered_map<graph::PageId, double> BuildGlobalJxpScores(
     const std::vector<JxpPeer>& peers, const p2p::Network* network) {
-  std::unordered_map<graph::PageId, double> sum;
-  std::unordered_map<graph::PageId, uint32_t> count;
+  const auto alive = [network](const JxpPeer& peer) {
+    return network == nullptr || network->IsAlive(peer.id());
+  };
+  size_t total_pages = 0;
   for (const JxpPeer& peer : peers) {
-    if (network != nullptr && !network->IsAlive(peer.id())) continue;
+    if (alive(peer)) total_pages += peer.fragment().NumLocalPages();
+  }
+  // One (sum, count) record per page; each page's sum still adds its peers'
+  // scores in peer order.
+  std::unordered_map<graph::PageId, std::pair<double, uint32_t>> totals;
+  totals.reserve(total_pages);
+  for (const JxpPeer& peer : peers) {
+    if (!alive(peer)) continue;
     const graph::Subgraph& fragment = peer.fragment();
     const std::vector<double>& scores = peer.local_scores();
     for (graph::Subgraph::LocalIndex i = 0; i < fragment.NumLocalPages(); ++i) {
-      sum[fragment.GlobalId(i)] += scores[i];
-      count[fragment.GlobalId(i)] += 1;
+      auto& [sum, count] = totals[fragment.GlobalId(i)];
+      sum += scores[i];
+      ++count;
     }
   }
-  for (auto& [page, total] : sum) total /= static_cast<double>(count[page]);
-  return sum;
+  std::unordered_map<graph::PageId, double> average;
+  average.reserve(totals.size());
+  for (const auto& [page, total] : totals) {
+    average.emplace(page, total.first / static_cast<double>(total.second));
+  }
+  return average;
 }
 
 AccuracyPoint EvaluateAccuracy(

@@ -30,27 +30,37 @@ CacheMetrics& GetCacheMetrics() {
 
 void ExtendedSystemCache::RebuildLocalRows(const graph::Subgraph& fragment) {
   const size_t n = fragment.NumLocalPages();
-  const size_t num_states = n + 1;
   const uint32_t world_state = static_cast<uint32_t>(n);
-  markov::SparseMatrixBuilder builder(num_states);
 
-  // Local rows (Eqs. 6-7). The world row (state n) stays empty here; every
-  // Prepare/Rescale splices it in via ReplaceLastRow.
+  // Local rows (Eqs. 6-7), written straight into the CSR: a page's local
+  // neighbours are ascending and unique, and the world column n comes last,
+  // so every row is already in the column order the builder would sort it
+  // into. The world row (state n) stays empty here; every Prepare/Rescale
+  // splices it in via ReplaceLastRow.
+  size_t num_entries = fragment.NumLocalEdges();
+  for (graph::Subgraph::LocalIndex i = 0; i < n; ++i) {
+    if (fragment.NumExternalSuccessors(i) > 0) ++num_entries;
+  }
+  std::vector<uint64_t> offsets(n + 2, 0);
+  std::vector<markov::MatrixEntry> entries;
+  entries.reserve(num_entries);
   for (graph::Subgraph::LocalIndex i = 0; i < n; ++i) {
     const size_t degree = fragment.GlobalOutDegree(i);
-    if (degree == 0) continue;  // Dangling: handled by the dangling vector.
-    const auto locals = fragment.LocalOutNeighbors(i);
-    const size_t external = fragment.NumExternalSuccessors(i);
-    builder.ReserveRow(i, locals.size() + (external > 0 ? 1 : 0));
-    const double w = 1.0 / static_cast<double>(degree);
-    for (graph::Subgraph::LocalIndex j : locals) {
-      builder.Add(i, j, w);
+    // A dangling page keeps an empty row: its mass goes by the dangling vector.
+    if (degree > 0) {
+      const double w = 1.0 / static_cast<double>(degree);
+      for (graph::Subgraph::LocalIndex j : fragment.LocalOutNeighbors(i)) {
+        entries.push_back({j, w});
+      }
+      const size_t external = fragment.NumExternalSuccessors(i);
+      if (external > 0) {
+        entries.push_back({world_state, w * static_cast<double>(external)});
+      }
     }
-    if (external > 0) {
-      builder.Add(i, world_state, w * static_cast<double>(external));
-    }
+    offsets[i + 1] = entries.size();
   }
-  system_.matrix = builder.Build();
+  offsets[n + 1] = entries.size();
+  system_.matrix = markov::SparseMatrix::FromCsr(std::move(offsets), std::move(entries));
   num_local_ = n;
   local_rows_valid_ = true;
 }

@@ -465,24 +465,20 @@ bool JxpPeer::TruncateView(const PeerView& full, double keep_fraction, PeerView&
     return true;
   }
   // The page table is serialized in local-index order, so the first k
-  // records arrive complete (each with its full successor list).
-  std::vector<graph::PageId> pages;
-  std::vector<std::vector<graph::PageId>> successors;
-  pages.reserve(k);
-  successors.reserve(k);
+  // records arrive complete (each with its full successor list), already in
+  // the fragment's sorted layout.
+  const auto pages = frag.Pages().first(k);
+  std::vector<uint64_t> offsets = {0};
+  std::vector<graph::PageId> successors;
+  offsets.reserve(k + 1);
   for (graph::Subgraph::LocalIndex i = 0; i < k; ++i) {
-    pages.push_back(frag.GlobalId(i));
     const auto succ = frag.Successors(i);
-    successors.emplace_back(succ.begin(), succ.end());
+    successors.insert(successors.end(), succ.begin(), succ.end());
+    offsets.push_back(successors.size());
   }
-  auto owned = std::make_shared<graph::Subgraph>(
-      graph::Subgraph::FromKnowledge(std::move(pages), std::move(successors)));
-  out.scores.assign(k, 0.0);
-  for (graph::Subgraph::LocalIndex i = 0; i < k; ++i) {
-    const graph::Subgraph::LocalIndex j = owned->LocalIndexOf(frag.GlobalId(i));
-    JXP_CHECK_NE(j, graph::Subgraph::kNotLocal);
-    out.scores[j] = full.scores[i];
-  }
+  auto owned = std::make_shared<graph::Subgraph>(graph::Subgraph::FromSortedCsr(
+      {pages.begin(), pages.end()}, std::move(offsets), std::move(successors)));
+  out.scores.assign(full.scores.begin(), full.scores.begin() + static_cast<ptrdiff_t>(k));
   out.fragment = owned.get();
   out.owned_fragment = std::move(owned);
   // The world node and page sketch ride at the tail of the message: lost.
@@ -685,15 +681,21 @@ void JxpPeer::ProcessFullMerge(const PeerView& partner) {
   const graph::Subgraph& other = *partner.fragment;
   // Merged graph G_M = union of the two fragments with full out-link
   // knowledge; merged score list L_M combines overlapping pages.
-  graph::Subgraph merged = graph::Subgraph::Merge(fragment_, other);
+  std::vector<graph::Subgraph::LocalIndex> mine_in_merged;
+  std::vector<graph::Subgraph::LocalIndex> theirs_in_merged;
+  graph::Subgraph merged =
+      graph::Subgraph::Merge(fragment_, other, &mine_in_merged, &theirs_in_merged);
   const size_t m = merged.NumLocalPages();
   std::vector<double> merged_scores(m, 0.0);
   for (graph::Subgraph::LocalIndex i = 0; i < fragment_.NumLocalPages(); ++i) {
-    merged_scores[merged.LocalIndexOf(fragment_.GlobalId(i))] = scores_[i];
+    merged_scores[mine_in_merged[i]] = scores_[i];
   }
+  // Both index maps ascend, so one cursor over ours finds the shared pages.
+  size_t cursor = 0;
   for (graph::Subgraph::LocalIndex k = 0; k < other.NumLocalPages(); ++k) {
-    const graph::Subgraph::LocalIndex mi = merged.LocalIndexOf(other.GlobalId(k));
-    if (fragment_.Contains(other.GlobalId(k))) {
+    const graph::Subgraph::LocalIndex mi = theirs_in_merged[k];
+    while (cursor < mine_in_merged.size() && mine_in_merged[cursor] < mi) ++cursor;
+    if (cursor < mine_in_merged.size() && mine_in_merged[cursor] == mi) {
       merged_scores[mi] =
           CombineScores(options_.combine_mode, merged_scores[mi], partner.scores[k]);
     } else {
@@ -753,7 +755,7 @@ void JxpPeer::ProcessFullMerge(const PeerView& partner) {
   // Project back onto our fragment (the disconnect step of Figure 1):
   // local scores from the merged result ...
   for (graph::Subgraph::LocalIndex i = 0; i < fragment_.NumLocalPages(); ++i) {
-    scores_[i] = result.distribution[merged.LocalIndexOf(fragment_.GlobalId(i))];
+    scores_[i] = result.distribution[mine_in_merged[i]];
   }
   // ... and a new world node: W_M's links into V_A, plus the partner's pages
   // (E_B links) that point into V_A, now valued at their merged PR scores.
@@ -761,7 +763,7 @@ void JxpPeer::ProcessFullMerge(const PeerView& partner) {
   merged_world.Retain([](graph::PageId) { return true; },
                       [this](graph::PageId t) { return fragment_.Contains(t); });
   const auto merged_score = [&](graph::Subgraph::LocalIndex k) {
-    return result.distribution[merged.LocalIndexOf(other.GlobalId(k))];
+    return result.distribution[theirs_in_merged[k]];
   };
   world_ = WorldNode::Union(merged_world, PagesAsWorld(other, fragment_, merged_score),
                             options_.combine_mode, options_.authoritative_refresh);

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "common/check.h"
-
 namespace jxp {
 namespace core {
 
@@ -32,27 +30,14 @@ DecodedMeetingMessage DecodeMeetingMessage(std::span<const uint8_t> bytes) {
   result.resync_offset = decoded.resync_offset;
   result.error = std::move(decoded.error);
 
-  if (!decoded.pages.empty()) {
-    std::vector<graph::PageId> pages;
-    std::vector<std::vector<graph::PageId>> successors;
-    pages.reserve(decoded.pages.size());
-    successors.reserve(decoded.pages.size());
-    result.scores.reserve(decoded.pages.size());
-    for (wire::ScoreListPage& record : decoded.pages) {
-      pages.push_back(record.page);
-      successors.push_back(std::move(record.successors));
-    }
-    auto fragment = std::make_shared<graph::Subgraph>(
-        graph::Subgraph::FromKnowledge(std::move(pages), std::move(successors)));
-    // The page table arrives in ascending-page order, which is exactly the
-    // rebuilt fragment's local-index order; still map defensively.
-    result.scores.assign(fragment->NumLocalPages(), 0.0);
-    for (const wire::ScoreListPage& record : decoded.pages) {
-      const graph::Subgraph::LocalIndex i = fragment->LocalIndexOf(record.page);
-      JXP_CHECK_NE(i, graph::Subgraph::kNotLocal);
-      result.scores[i] = record.score;
-    }
-    result.fragment = std::move(fragment);
+  // The page table arrives page-sorted with sorted successor lists, which
+  // is the fragment's own layout: adopt the arrays as they are.
+  wire::DecodedPageTable& table = decoded.page_table;
+  if (!table.pages.empty()) {
+    result.scores = std::move(table.scores);
+    result.fragment = std::make_shared<graph::Subgraph>(graph::Subgraph::FromSortedCsr(
+        std::move(table.pages), std::move(table.successor_offsets),
+        std::move(table.successors)));
   }
 
   wire::DecodedWorld& world = decoded.world;

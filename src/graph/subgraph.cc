@@ -1,6 +1,7 @@
 #include "graph/subgraph.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace jxp {
 namespace graph {
@@ -54,22 +55,63 @@ Subgraph Subgraph::FromKnowledge(std::vector<PageId> pages,
   return sg;
 }
 
-Subgraph Subgraph::Merge(const Subgraph& a, const Subgraph& b) {
-  std::vector<PageId> pages;
-  std::vector<std::vector<PageId>> successors;
-  pages.reserve(a.NumLocalPages() + b.NumLocalPages());
-  for (LocalIndex i = 0; i < a.NumLocalPages(); ++i) {
-    pages.push_back(a.GlobalId(i));
-    const auto succ = a.Successors(i);
-    successors.emplace_back(succ.begin(), succ.end());
+Subgraph Subgraph::FromSortedCsr(std::vector<PageId> pages,
+                                 std::vector<uint64_t> successor_offsets,
+                                 std::vector<PageId> successors) {
+  JXP_CHECK_EQ(successor_offsets.size(), pages.size() + 1);
+  JXP_CHECK_EQ(successor_offsets.front(), 0u);
+  JXP_CHECK_EQ(successor_offsets.back(), successors.size());
+  for (size_t i = 0; i < pages.size(); ++i) {
+    JXP_CHECK_LE(successor_offsets[i], successor_offsets[i + 1]);
+    if (i > 0) {
+      JXP_CHECK_LT(pages[i - 1], pages[i]) << "pages must be strictly ascending";
+    }
   }
-  for (LocalIndex i = 0; i < b.NumLocalPages(); ++i) {
-    if (a.Contains(b.GlobalId(i))) continue;  // Shared page: knowledge identical.
-    pages.push_back(b.GlobalId(i));
-    const auto succ = b.Successors(i);
-    successors.emplace_back(succ.begin(), succ.end());
+  Subgraph sg;
+  sg.pages_ = std::move(pages);
+  sg.succ_offsets_ = std::move(successor_offsets);
+  sg.succ_ = std::move(successors);
+  sg.BuildDerivedIndexes();
+  return sg;
+}
+
+Subgraph Subgraph::Merge(const Subgraph& a, const Subgraph& b,
+                         std::vector<LocalIndex>* a_index,
+                         std::vector<LocalIndex>* b_index) {
+  const size_t na = a.NumLocalPages();
+  const size_t nb = b.NumLocalPages();
+  if (a_index != nullptr) a_index->resize(na);
+  if (b_index != nullptr) b_index->resize(nb);
+  Subgraph sg;
+  sg.pages_.reserve(na + nb);
+  sg.succ_offsets_.reserve(na + nb + 1);
+  sg.succ_.reserve(a.succ_.size() + b.succ_.size());
+  // Appends page `i` of `from` with its successor list; returns its index.
+  const auto append = [&sg](const Subgraph& from, size_t i) {
+    const auto succ = from.Successors(static_cast<LocalIndex>(i));
+    sg.pages_.push_back(from.pages_[i]);
+    sg.succ_.insert(sg.succ_.end(), succ.begin(), succ.end());
+    sg.succ_offsets_.push_back(sg.succ_.size());
+    return static_cast<LocalIndex>(sg.pages_.size() - 1);
+  };
+  size_t i = 0;
+  size_t k = 0;
+  while (i < na || k < nb) {
+    const bool take_a = k == nb || (i < na && a.pages_[i] <= b.pages_[k]);
+    const bool take_b = i == na || (k < nb && b.pages_[k] <= a.pages_[i]);
+    // A shared page (both true) keeps a's knowledge, identical by construction.
+    const LocalIndex merged = take_a ? append(a, i) : append(b, k);
+    if (take_a) {
+      if (a_index != nullptr) (*a_index)[i] = merged;
+      ++i;
+    }
+    if (take_b) {
+      if (b_index != nullptr) (*b_index)[k] = merged;
+      ++k;
+    }
   }
-  return FromKnowledge(std::move(pages), std::move(successors));
+  sg.BuildDerivedIndexes();
+  return sg;
 }
 
 std::vector<PageId> Subgraph::AllSuccessors() const {
@@ -80,19 +122,49 @@ std::vector<PageId> Subgraph::AllSuccessors() const {
 }
 
 void Subgraph::BuildDerivedIndexes() {
-  local_index_.clear();
-  local_index_.reserve(pages_.size() * 2);
-  for (LocalIndex i = 0; i < pages_.size(); ++i) local_index_[pages_[i]] = i;
+  first_page_ = pages_.empty() ? 0 : pages_.front();
+  span_ = pages_.empty() ? 0 : static_cast<uint64_t>(pages_.back() - first_page_) + 1;
+  const size_t words = static_cast<size_t>((span_ + 63) / 64);
+  rank_bits_.clear();
+  rank_before_.clear();
+  if (words <= kDirectoryFreeWords + kDirectoryWordsPerPage * pages_.size()) {
+    rank_bits_.assign(words, 0);
+    for (PageId page : pages_) {
+      const uint32_t offset = page - first_page_;
+      rank_bits_[offset >> 6] |= uint64_t{1} << (offset & 63);
+    }
+    rank_before_.resize(words);
+    LocalIndex rank = 0;
+    for (size_t w = 0; w < words; ++w) {
+      rank_before_[w] = rank;
+      rank += static_cast<LocalIndex>(std::popcount(rank_bits_[w]));
+    }
+  }
 
-  local_out_offsets_.assign(pages_.size() + 1, 0);
+  // Successors ascend and local indices follow page order, so each page's
+  // local targets come out ascending and unique.
+  local_out_offsets_.resize(pages_.size() + 1);
+  local_out_offsets_[0] = 0;
   local_out_targets_.clear();
+  local_out_targets_.reserve(succ_.size());
   for (LocalIndex i = 0; i < pages_.size(); ++i) {
-    for (PageId target : Successors(i)) {
-      const LocalIndex t = LocalIndexOf(target);
+    const auto successors = Successors(i);
+    for (size_t j = 0; j < successors.size(); ++j) {
+      if (j > 0) {
+        JXP_CHECK_LT(successors[j - 1], successors[j])
+            << "successors must be strictly ascending";
+      }
+      const LocalIndex t = LocalIndexOf(successors[j]);
       if (t != kNotLocal) local_out_targets_.push_back(t);
     }
     local_out_offsets_[i + 1] = local_out_targets_.size();
   }
+}
+
+Subgraph::LocalIndex Subgraph::SearchPages(PageId global) const {
+  const auto it = std::lower_bound(pages_.begin(), pages_.end(), global);
+  if (it == pages_.end() || *it != global) return kNotLocal;
+  return static_cast<LocalIndex>(it - pages_.begin());
 }
 
 }  // namespace graph

@@ -1,9 +1,9 @@
 #ifndef JXP_GRAPH_SUBGRAPH_H_
 #define JXP_GRAPH_SUBGRAPH_H_
 
+#include <bit>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/graph.h"
@@ -23,6 +23,12 @@ namespace graph {
 ///
 /// Local pages are addressed by a dense local index [0, NumLocalPages()); the
 /// mapping to global PageIds is exposed both ways.
+///
+/// The layout is flat (DESIGN.md §6b.7): the pages sorted by global id, a CSR
+/// of their sorted successor lists, a CSR of the local adjacency, and a rank
+/// directory over the sorted pages — one bit per id in [first page, last
+/// page] plus the number of set bits before each 64-bit word — so that
+/// LocalIndexOf is a range check, a bit test and a popcount.
 class Subgraph {
  public:
   /// Dense index of a page within this fragment.
@@ -39,14 +45,28 @@ class Subgraph {
 
   /// Builds a fragment from explicit out-link knowledge: `successors[i]` is
   /// the complete successor list (global ids, any order) of `pages[i]`.
+  /// Sorts and deduplicates; meant for unsorted or untrusted input.
   static Subgraph FromKnowledge(std::vector<PageId> pages,
                                 std::vector<std::vector<PageId>> successors);
+
+  /// Adopts an already page-sorted fragment by move: `pages` strictly
+  /// ascending, and the successors of pages[i] are
+  /// successors[successor_offsets[i], successor_offsets[i+1]), strictly
+  /// ascending. JXP_CHECK-fails on any violation.
+  static Subgraph FromSortedCsr(std::vector<PageId> pages,
+                                std::vector<uint64_t> successor_offsets,
+                                std::vector<PageId> successors);
 
   /// Merges two fragments (the paper's full-merge step): the page set is the
   /// union, and each page keeps its full successor knowledge. Pages known to
   /// both peers must agree on their successor lists, which holds by
-  /// construction since both crawled the same global page.
-  static Subgraph Merge(const Subgraph& a, const Subgraph& b);
+  /// construction since both crawled the same global page; a shared page
+  /// keeps `a`'s list. A linear two-way merge of the sorted pages. When
+  /// given, `a_index` / `b_index` receive, per local page of `a` / `b`, its
+  /// local index in the merged fragment.
+  static Subgraph Merge(const Subgraph& a, const Subgraph& b,
+                        std::vector<LocalIndex>* a_index = nullptr,
+                        std::vector<LocalIndex>* b_index = nullptr);
 
   /// Number of local pages.
   size_t NumLocalPages() const { return pages_.size(); }
@@ -68,12 +88,19 @@ class Subgraph {
 
   /// Local index of a global page, or kNotLocal.
   LocalIndex LocalIndexOf(PageId global) const {
-    const auto it = local_index_.find(global);
-    return it == local_index_.end() ? kNotLocal : it->second;
+    // Ids below the first page wrap around to offsets >= span_.
+    const uint32_t offset = global - first_page_;
+    if (offset >= span_) return kNotLocal;
+    if (rank_bits_.empty()) return SearchPages(global);
+    const uint64_t word = rank_bits_[offset >> 6];
+    const uint64_t bit = uint64_t{1} << (offset & 63);
+    if ((word & bit) == 0) return kNotLocal;
+    const auto below = static_cast<LocalIndex>(std::popcount(word & (bit - 1)));
+    return rank_before_[offset >> 6] + below;
   }
 
   /// True iff the fragment contains `global`.
-  bool Contains(PageId global) const { return local_index_.count(global) > 0; }
+  bool Contains(PageId global) const { return LocalIndexOf(global) != kNotLocal; }
 
   /// The complete successor list (global ids, sorted) of local page `i` —
   /// the page's true global out-links.
@@ -102,11 +129,29 @@ class Subgraph {
   std::vector<PageId> AllSuccessors() const;
 
  private:
-  /// Rebuilds local_index_ and the local adjacency CSR from pages_ / succ_.
+  /// A fragment whose rank directory would need more than 1024 words plus 16
+  /// per page keeps none and binary-searches pages_ instead, so hostile ids
+  /// (a wire message or state file holding pages 0 and 2^32 - 2) cost O(n)
+  /// memory, not 800 MB. The benchmark's fragments need at most 2.2 words
+  /// per page and 2.3 KB (DESIGN.md §6b.7).
+  static constexpr size_t kDirectoryFreeWords = 1024;
+  static constexpr size_t kDirectoryWordsPerPage = 16;
+
+  /// Rebuilds the rank directory and the local adjacency CSR from pages_ /
+  /// succ_, checking that every successor list is strictly ascending.
   void BuildDerivedIndexes();
 
+  /// LocalIndexOf for a fragment without a rank directory.
+  LocalIndex SearchPages(PageId global) const;
+
   std::vector<PageId> pages_;
-  std::unordered_map<PageId, LocalIndex> local_index_;
+  // Rank directory over [first_page_, first_page_ + span_): bit o of
+  // rank_bits_ is set iff page first_page_ + o is local, and
+  // rank_before_[w] counts the set bits of words [0, w).
+  PageId first_page_ = 0;
+  uint64_t span_ = 0;
+  std::vector<uint64_t> rank_bits_;
+  std::vector<LocalIndex> rank_before_;
   // CSR over pages_ of complete successor lists (global ids, sorted).
   std::vector<uint64_t> succ_offsets_ = {0};
   std::vector<PageId> succ_;

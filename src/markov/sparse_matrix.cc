@@ -20,6 +20,34 @@ void SortAndMergeRow(std::vector<MatrixEntry>& row) {
   row.resize(w);
 }
 
+SparseMatrix SparseMatrix::FromCsr(std::vector<uint64_t> row_offsets,
+                                   std::vector<MatrixEntry> entries) {
+  JXP_CHECK_GE(row_offsets.size(), 1u);
+  JXP_CHECK_EQ(row_offsets.front(), 0u);
+  JXP_CHECK_EQ(row_offsets.back(), entries.size());
+  const size_t num_states = row_offsets.size() - 1;
+  SparseMatrix m;
+  m.row_sums_.resize(num_states);
+  for (size_t i = 0; i < num_states; ++i) {
+    JXP_CHECK_LE(row_offsets[i], row_offsets[i + 1]);
+    double sum = 0;
+    for (uint64_t k = row_offsets[i]; k < row_offsets[i + 1]; ++k) {
+      const MatrixEntry& e = entries[k];
+      JXP_CHECK_LT(e.column, num_states);
+      if (k > row_offsets[i]) {
+        JXP_CHECK_LT(entries[k - 1].column, e.column);
+      }
+      JXP_CHECK_GE(e.weight, 0.0);
+      sum += e.weight;
+    }
+    JXP_CHECK_LE(sum, 1.0 + 1e-9) << "row " << i << " is super-stochastic";
+    m.row_sums_[i] = sum;
+  }
+  m.row_offsets_ = std::move(row_offsets);
+  m.entries_ = std::move(entries);
+  return m;
+}
+
 void SparseMatrix::LeftMultiply(std::span<const double> x, std::span<double> y) const {
   JXP_CHECK_EQ(x.size(), NumStates());
   JXP_CHECK_EQ(y.size(), NumStates());

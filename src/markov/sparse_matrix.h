@@ -31,6 +31,13 @@ class SparseMatrix {
  public:
   SparseMatrix() = default;
 
+  /// Adopts a CSR by move: row i is entries[row_offsets[i], row_offsets[i+1])
+  /// with strictly ascending columns. Row sums are summed in storage order,
+  /// as SparseMatrixBuilder::Build does, so a row built either way is
+  /// bit-identical. Checks the same invariants as the builder.
+  static SparseMatrix FromCsr(std::vector<uint64_t> row_offsets,
+                              std::vector<MatrixEntry> entries);
+
   /// Number of states (rows == columns).
   size_t NumStates() const { return row_offsets_.size() - 1; }
 
@@ -105,7 +112,7 @@ class SparseMatrixBuilder {
   }
 
   /// Reserves capacity for `expected` entries in `row` — callers that know
-  /// exact degrees up front (link-matrix and extended-system builds) avoid
+  /// exact degrees up front (link-matrix builds) avoid
   /// the push_back growth reallocations.
   void ReserveRow(uint32_t row, size_t expected) {
     JXP_CHECK_LT(row, num_states_);

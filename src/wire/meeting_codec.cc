@@ -92,44 +92,47 @@ Status DecodeScoreChunk(std::span<const uint8_t> payload, DecodedMeeting& out) {
   }
   if (count == 0) return BadPayload("empty score chunk");
   // Each record is at least 6 bytes (id + score + degree), so a count beyond
-  // the payload size cannot be genuine; reject before reserving memory.
+  // the payload size cannot be genuine; reject before reading records.
   if (count > payload.size()) return BadPayload("chunk count exceeds payload");
-  if (first_index != out.pages.size()) {
-    return BadPayload("score chunk out of sequence");
-  }
-  // Parse into a scratch vector so a mid-frame failure leaves `out` with
-  // whole frames only.
-  std::vector<ScoreListPage> records;
-  records.reserve(count);
-  graph::PageId prev_page =
-      out.pages.empty() ? 0 : out.pages.back().page;
-  const bool first_record_of_message = out.pages.empty();
+  DecodedPageTable& table = out.page_table;
+  const size_t num_pages = table.pages.size();
+  if (first_index != num_pages) return BadPayload("score chunk out of sequence");
+  // Records are appended in place; a mid-frame failure truncates the table
+  // back so `out` keeps whole frames only.
+  const size_t num_successors = table.successors.size();
+  const auto reject = [&](const char* what) {
+    table.pages.resize(num_pages);
+    table.scores.resize(num_pages);
+    table.successor_offsets.resize(num_pages + 1);
+    table.successors.resize(num_successors);
+    return BadPayload(what);
+  };
+  graph::PageId prev_page = num_pages == 0 ? 0 : table.pages.back();
   for (uint32_t i = 0; i < count; ++i) {
-    ScoreListPage record;
-    const bool first = first_record_of_message && i == 0;
-    if (!ReadAscendingId(reader, first, prev_page, &record.page)) {
-      return BadPayload("page ids not strictly ascending");
+    graph::PageId page = 0;
+    if (!ReadAscendingId(reader, num_pages == 0 && i == 0, prev_page, &page)) {
+      return reject("page ids not strictly ascending");
     }
-    prev_page = record.page;
-    if (!ReadScore(reader, &record.score)) return BadPayload("invalid page score");
+    prev_page = page;
+    float score = 0;
+    if (!ReadScore(reader, &score)) return reject("invalid page score");
     uint32_t degree = 0;
-    if (!reader.GetVarint32(&degree)) return BadPayload("truncated degree");
-    if (degree > payload.size()) return BadPayload("degree exceeds payload");
-    record.successors.reserve(degree);
+    if (!reader.GetVarint32(&degree)) return reject("truncated degree");
+    if (degree > payload.size()) return reject("degree exceeds payload");
     graph::PageId prev_succ = 0;
     for (uint32_t j = 0; j < degree; ++j) {
       graph::PageId succ = 0;
       if (!ReadAscendingId(reader, j == 0, prev_succ, &succ)) {
-        return BadPayload("successors not strictly ascending");
+        return reject("successors not strictly ascending");
       }
       prev_succ = succ;
-      record.successors.push_back(succ);
+      table.successors.push_back(succ);
     }
-    records.push_back(std::move(record));
+    table.pages.push_back(page);
+    table.scores.push_back(score);
+    table.successor_offsets.push_back(table.successors.size());
   }
-  if (!reader.AtEnd()) return BadPayload("trailing bytes in score chunk");
-  out.pages.insert(out.pages.end(), std::make_move_iterator(records.begin()),
-                   std::make_move_iterator(records.end()));
+  if (!reader.AtEnd()) return reject("trailing bytes in score chunk");
   return Status::OK();
 }
 

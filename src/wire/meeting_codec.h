@@ -42,11 +42,16 @@ struct WorldKnowledgeView {
   std::span<const double> dangling_scores;
 };
 
-/// Decode-side page-table record. `score` is the sender's score after the
-/// wire's round-down float quantization.
-struct ScoreListPage {
-  graph::PageId page = 0;
-  float score = 0;
+/// Decode-side page table, as flat arrays in the layout
+/// graph::Subgraph::FromSortedCsr adopts by move: pages strictly ascending
+/// (the sender's local-index order), page i's successors are
+/// successors[successor_offsets[i], successor_offsets[i+1]) strictly
+/// ascending, and scores[i] is its score after the wire's round-down float
+/// quantization, widened to double exactly.
+struct DecodedPageTable {
+  std::vector<graph::PageId> pages;
+  std::vector<double> scores;
+  std::vector<uint64_t> successor_offsets = {0};
   std::vector<graph::PageId> successors;
 };
 
@@ -67,10 +72,9 @@ struct DecodedWorld {
 /// Everything the decoder recovered from the (possibly truncated or
 /// corrupted) byte stream of one meeting message.
 struct DecodedMeeting {
-  /// Page-table records, in the sender's local-index order (== ascending
-  /// page id). May be a prefix of the sender's table when the stream was
-  /// cut or a later chunk was rejected.
-  std::vector<ScoreListPage> pages;
+  /// The page table. May be a prefix of the sender's table when the stream
+  /// was cut or a later chunk was rejected.
+  DecodedPageTable page_table;
   /// World knowledge; empty when the world frame was absent, lost, or the
   /// sender's world node was empty (an empty world node is not framed).
   DecodedWorld world;

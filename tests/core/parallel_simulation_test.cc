@@ -1,4 +1,5 @@
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -28,8 +29,10 @@ struct ParallelFixture {
     fragments = CrawlBasedPartition(collection, partition, rng);
   }
 
-  std::unique_ptr<JxpSimulation> MakeSim(size_t num_threads, uint64_t seed = 5) {
+  std::unique_ptr<JxpSimulation> MakeSim(size_t num_threads, uint64_t seed = 5,
+                                         const JxpOptions& jxp = {}) {
     SimulationConfig config;
+    config.jxp = jxp;
     config.seed = seed;
     config.eval_top_k = 50;
     config.num_threads = num_threads;
@@ -45,22 +48,32 @@ struct ParallelFixture {
 /// counts, and traffic are bitwise identical at every thread count.
 TEST(ParallelSimulationTest, BitIdenticalAcrossThreadCounts) {
   ParallelFixture fx;
-  auto base = fx.MakeSim(1);
-  base->RunMeetingsParallel(150);
-  for (const size_t threads : {2u, 8u}) {
-    auto sim = fx.MakeSim(threads);
-    sim->RunMeetingsParallel(150);
-    ASSERT_EQ(sim->meetings_done(), base->meetings_done());
-    ASSERT_EQ(sim->peers().size(), base->peers().size());
-    for (size_t p = 0; p < base->peers().size(); ++p) {
-      const JxpPeer& a = base->peers()[p];
-      const JxpPeer& b = sim->peers()[p];
-      EXPECT_EQ(a.num_meetings(), b.num_meetings()) << "peer " << p;
-      EXPECT_EQ(a.world_score(), b.world_score()) << "peer " << p;
-      EXPECT_EQ(a.local_scores(), b.local_scores()) << "peer " << p;
-      EXPECT_EQ(a.world_score_history(), b.world_score_history()) << "peer " << p;
+  // The default (estimated wire, light-weight merge), and the measured wire
+  // — encode, decode and adopt on every meeting — under both merge modes.
+  std::vector<JxpOptions> inputs(3);
+  inputs[1].wire_mode = MeetingWireMode::kMeasured;
+  inputs[1].merge_mode = MergeMode::kFullMerge;
+  inputs[2].wire_mode = MeetingWireMode::kMeasured;
+  inputs[2].merge_mode = MergeMode::kLightWeight;
+  for (size_t input = 0; input < inputs.size(); ++input) {
+    SCOPED_TRACE("input " + std::to_string(input));
+    auto base = fx.MakeSim(1, 5, inputs[input]);
+    base->RunMeetingsParallel(150);
+    for (const size_t threads : {2u, 8u}) {
+      auto sim = fx.MakeSim(threads, 5, inputs[input]);
+      sim->RunMeetingsParallel(150);
+      ASSERT_EQ(sim->meetings_done(), base->meetings_done());
+      ASSERT_EQ(sim->peers().size(), base->peers().size());
+      for (size_t p = 0; p < base->peers().size(); ++p) {
+        const JxpPeer& a = base->peers()[p];
+        const JxpPeer& b = sim->peers()[p];
+        EXPECT_EQ(a.num_meetings(), b.num_meetings()) << "peer " << p;
+        EXPECT_EQ(a.world_score(), b.world_score()) << "peer " << p;
+        EXPECT_EQ(a.local_scores(), b.local_scores()) << "peer " << p;
+        EXPECT_EQ(a.world_score_history(), b.world_score_history()) << "peer " << p;
+      }
+      EXPECT_EQ(sim->network().TotalTrafficBytes(), base->network().TotalTrafficBytes());
     }
-    EXPECT_EQ(sim->network().TotalTrafficBytes(), base->network().TotalTrafficBytes());
   }
 }
 

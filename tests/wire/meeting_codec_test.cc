@@ -60,15 +60,17 @@ TEST(MeetingCodecTest, ScoreListRoundTripsAcrossChunks) {
   ASSERT_TRUE(DecodeMeetingStrict(bytes, &decoded).ok());
   EXPECT_EQ(decoded.frames_decoded, (n + 63) / 64);
   EXPECT_EQ(decoded.bytes_consumed, bytes.size());
-  ASSERT_EQ(decoded.pages.size(), n);
+  const DecodedPageTable& table = decoded.page_table;
+  ASSERT_EQ(table.pages.size(), n);
   for (size_t i = 0; i < n; ++i) {
     const auto local = static_cast<graph::Subgraph::LocalIndex>(i);
-    EXPECT_EQ(decoded.pages[i].page, fragment.GlobalId(local));
-    EXPECT_EQ(decoded.pages[i].score, LowerBoundFloat(scores[i]));
+    EXPECT_EQ(table.pages[i], fragment.GlobalId(local));
+    EXPECT_EQ(table.scores[i], LowerBoundFloat(scores[i]));
     const auto expected = fragment.Successors(local);
-    ASSERT_EQ(decoded.pages[i].successors.size(), expected.size());
+    const uint64_t begin = table.successor_offsets[i];
+    ASSERT_EQ(table.successor_offsets[i + 1] - begin, expected.size());
     EXPECT_TRUE(std::equal(expected.begin(), expected.end(),
-                           decoded.pages[i].successors.begin()));
+                           table.successors.begin() + static_cast<ptrdiff_t>(begin)));
   }
 }
 
@@ -82,8 +84,8 @@ TEST(MeetingCodecTest, ScoresAreQuantizedNeverUpward) {
   ASSERT_TRUE(DecodeMeetingStrict(bytes, &decoded).ok());
   for (size_t i = 0; i < n; ++i) {
     // Theorem 5.3 safety: the wire never reports more than the exact double.
-    EXPECT_LE(static_cast<double>(decoded.pages[i].score), scores[i]);
-    EXPECT_NEAR(static_cast<double>(decoded.pages[i].score), scores[i],
+    EXPECT_LE(static_cast<double>(decoded.page_table.scores[i]), scores[i]);
+    EXPECT_NEAR(static_cast<double>(decoded.page_table.scores[i]), scores[i],
                 scores[i] * 1e-6);
   }
 }
@@ -168,9 +170,9 @@ TEST(MeetingCodecTest, TruncatedTransferSalvagesWholeChunkPrefix) {
   EXPECT_FALSE(decoded.error.ok());
   EXPECT_EQ(decoded.frames_decoded, 2u);
   EXPECT_EQ(decoded.bytes_consumed, two_chunks);
-  ASSERT_EQ(decoded.pages.size(), 128u);
-  for (size_t i = 0; i < decoded.pages.size(); ++i) {
-    EXPECT_EQ(decoded.pages[i].page,
+  ASSERT_EQ(decoded.page_table.pages.size(), 128u);
+  for (size_t i = 0; i < decoded.page_table.pages.size(); ++i) {
+    EXPECT_EQ(decoded.page_table.pages[i],
               fragment.GlobalId(static_cast<graph::Subgraph::LocalIndex>(i)));
   }
 }
@@ -191,7 +193,7 @@ TEST(MeetingCodecTest, BitFlipRejectsOnlyTheDamagedSuffix) {
   EXPECT_FALSE(decoded.error.ok());
   EXPECT_EQ(decoded.frames_decoded, 1u);
   EXPECT_EQ(decoded.bytes_consumed, first_chunk);
-  EXPECT_EQ(decoded.pages.size(), 64u);
+  EXPECT_EQ(decoded.page_table.pages.size(), 64u);
 }
 
 TEST(MeetingCodecTest, OutOfOrderSectionsRejected) {
@@ -204,7 +206,7 @@ TEST(MeetingCodecTest, OutOfOrderSectionsRejected) {
   const DecodedMeeting decoded = DecodeMeeting(bytes);
   EXPECT_FALSE(decoded.error.ok());
   EXPECT_EQ(decoded.world.pages.size(), 1u);
-  EXPECT_TRUE(decoded.pages.empty());
+  EXPECT_TRUE(decoded.page_table.pages.empty());
 }
 
 TEST(MeetingCodecTest, DuplicateWorldAndSynopsisFramesRejected) {
@@ -238,7 +240,7 @@ TEST(MeetingCodecTest, CorruptCountsCannotForceHugeAllocations) {
   DecodedMeeting out;
   const Status status = DecodeMeetingStrict(bytes, &out);
   EXPECT_FALSE(status.ok());
-  EXPECT_TRUE(out.pages.empty());
+  EXPECT_TRUE(out.page_table.pages.empty());
 }
 
 TEST(MeetingCodecTest, ResyncOffsetSkipsSemanticallyRejectedFrame) {

@@ -1,9 +1,12 @@
 #include "wire/wire_format.h"
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/hash.h"
 
 namespace jxp {
 namespace wire {
@@ -24,6 +27,23 @@ TEST(WireFormatTest, AppendAndParseFrameRoundTrips) {
   EXPECT_EQ(offset, buffer.size());
   ASSERT_EQ(frame.payload.size(), payload.size());
   EXPECT_TRUE(std::equal(payload.begin(), payload.end(), frame.payload.begin()));
+}
+
+TEST(WireFormatTest, ChecksumIsHashStringOfHeaderThenPayload) {
+  // The checksum hashes the header and the payload in place; the value must
+  // stay HashString(header || payload), so every frame byte is unchanged.
+  const uint8_t header[kFrameHeaderBytes] = {0x4a, 0x58, 1, 2, 9, 8, 7, 6};
+  std::vector<uint8_t> multi_kb(5000);
+  for (size_t i = 0; i < multi_kb.size(); ++i) {
+    multi_kb[i] = static_cast<uint8_t>(i * 131 + 7);
+  }
+  for (const std::vector<uint8_t>& payload :
+       {std::vector<uint8_t>{}, std::vector<uint8_t>{0xa5}, multi_kb}) {
+    std::string joined(reinterpret_cast<const char*>(header), kChecksumOffset);
+    joined.append(reinterpret_cast<const char*>(payload.data()), payload.size());
+    EXPECT_EQ(ComputeFrameChecksum(header, payload), HashString(joined))
+        << payload.size() << "-byte payload";
+  }
 }
 
 TEST(WireFormatTest, SealFrameMatchesAppendFrame) {
