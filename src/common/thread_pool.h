@@ -1,8 +1,10 @@
 #ifndef JXP_COMMON_THREAD_POOL_H_
 #define JXP_COMMON_THREAD_POOL_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -14,18 +16,21 @@ namespace jxp {
 /// parallelism.
 ///
 /// ParallelFor / ParallelForBlocks split [begin, end) into fixed-size
-/// blocks of `grain` indices. Block boundaries depend only on
-/// (begin, end, grain) — never on the thread count — and blocks are
-/// assigned statically (block b runs on worker b % num_threads, no work
-/// stealing). Any computation whose writes are disjoint per index, plus any
+/// blocks of `grain` indices. Block boundaries and block indices depend only
+/// on (begin, end, grain) — never on the thread count. Which worker runs a
+/// block does depend on timing: workers claim the next unclaimed block from
+/// a shared counter, so a slow block never holds back the blocks queued
+/// behind it. Any computation whose writes are disjoint per index, plus any
 /// reduction that accumulates per block and combines the block partials in
 /// block order, therefore produces bit-identical results at every thread
 /// count, including 1.
 ///
-/// The calling thread participates as worker 0, so a pool of size T spawns
+/// The calling thread participates as a worker, so a pool of size T spawns
 /// T - 1 background threads (ThreadPool(1) spawns none and runs everything
-/// inline). Calls must not be nested: a ParallelFor body must not invoke
-/// ParallelFor on the same pool. Bodies must not throw.
+/// inline, in block order). Calls must not be nested or concurrent: a
+/// ParallelFor body must not invoke ParallelFor on the same pool, and two
+/// threads must not launch on one pool at once; a multi-block launch that
+/// overlaps another aborts. Bodies must not throw.
 class ThreadPool {
  public:
   /// Creates a pool of `num_threads` workers (clamped to at least 1).
@@ -41,8 +46,8 @@ class ThreadPool {
 
   /// Runs `body(block_begin, block_end, block_index)` once per block of the
   /// fixed partition of [begin, end) into blocks of `grain` indices (the
-  /// last block may be short). Blocks are executed round-robin across
-  /// workers; the call returns after every block has finished.
+  /// last block may be short). Workers claim blocks in block order as they
+  /// become free; the call returns after every block has finished.
   void ParallelForBlocks(size_t begin, size_t end, size_t grain,
                          const std::function<void(size_t, size_t, size_t)>& body);
 
@@ -61,10 +66,14 @@ class ThreadPool {
     size_t num_blocks = 0;
   };
 
-  /// Runs the blocks statically assigned to `worker` for launch `launch`.
-  static void RunAssignedBlocks(const Launch& launch, size_t worker, size_t num_threads);
+  /// Runs block `b` of `launch`.
+  static void RunBlock(const Launch& launch, size_t b);
 
-  void WorkerLoop(size_t worker);
+  /// Claims blocks of `launch` from `next_block_` and runs them until none
+  /// is left.
+  void RunClaimedBlocks(const Launch& launch);
+
+  void WorkerLoop();
 
   const size_t num_threads_;
   std::vector<std::thread> threads_;
@@ -75,7 +84,11 @@ class ThreadPool {
   Launch launch_;
   uint64_t generation_ = 0;
   size_t workers_done_ = 0;
+  bool launch_active_ = false;  // A multi-block launch is in flight.
   bool shutdown_ = false;
+  /// The next unclaimed block of the current launch; reset under `mutex_`
+  /// before the launch is published.
+  std::atomic<size_t> next_block_{0};
 };
 
 }  // namespace jxp

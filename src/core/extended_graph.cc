@@ -1,9 +1,14 @@
 #include "core/extended_graph.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <optional>
 #include <utility>
 
+#include "common/timer.h"
 #include "obs/metrics.h"
+#include "obs/telemetry.h"
 
 namespace jxp {
 namespace core {
@@ -12,18 +17,67 @@ namespace {
 
 /// Cache effectiveness counters (DESIGN.md §6d): a hit reuses the cached
 /// local rows and only regenerates the world row; a miss rebuilds the local
-/// rows; a rescale is the guard-loop world-row regeneration.
+/// rows; a rescale is the guard-loop world-row regeneration. `prepare_ms`
+/// is the thread CPU of each Prepare (timing, recorded only while telemetry
+/// is enabled).
 struct CacheMetrics {
   obs::Counter hits = obs::MetricsRegistry::Global().GetCounter("jxp.extended_cache.hits");
   obs::Counter misses =
       obs::MetricsRegistry::Global().GetCounter("jxp.extended_cache.misses");
   obs::Counter rescales =
       obs::MetricsRegistry::Global().GetCounter("jxp.extended_cache.rescales");
+  obs::Histogram prepare_ms = obs::MetricsRegistry::Global().GetHistogram(
+      "jxp.extended_cache.prepare_ms", {0.01, 0.03, 0.1, 0.3, 1, 3, 10, 30, 100});
 };
 
 CacheMetrics& GetCacheMetrics() {
   static CacheMetrics metrics;
   return metrics;
+}
+
+/// One world entry keyed for the world-row term order: out-degree
+/// descending, then score ascending, as a 96-bit unsigned key whose high
+/// word is ~out_degree and whose low word is the score's IEEE-754 bits.
+/// Scores are finite and non-negative, so their bit order is their numeric
+/// order; -0.0 is keyed as +0.0, since the two compare equal.
+struct EntryKey {
+  uint64_t score_bits;
+  uint32_t inv_degree;
+  uint32_t entry;
+};
+
+/// Byte digits of the key, least significant first: 8 of the score, then
+/// 4 of the degree.
+constexpr int kScoreDigits = 8;
+constexpr int kKeyDigits = kScoreDigits + 4;
+
+uint32_t KeyDigit(const EntryKey& key, int d) {
+  return d < kScoreDigits
+             ? static_cast<uint32_t>(key.score_bits >> (8 * d)) & 0xff
+             : (key.inv_degree >> (8 * (d - kScoreDigits))) & 0xff;
+}
+
+/// Sorts `keys` ascending by (inv_degree, score_bits) with an LSD radix
+/// sort over byte digits. All digit histograms come from one pass, and a
+/// digit every key shares is skipped (typically the degree's high bytes).
+/// Keys that tie are equal (degree, score) pairs, whose world-row terms are
+/// identical, so the order among them is immaterial.
+void RadixSortEntries(std::vector<EntryKey>& keys) {
+  const size_t n = keys.size();
+  if (n < 2) return;
+  uint32_t counts[kKeyDigits][256] = {};
+  for (const EntryKey& key : keys) {
+    for (int d = 0; d < kKeyDigits; ++d) ++counts[d][KeyDigit(key, d)];
+  }
+  std::vector<EntryKey> scratch(n);
+  for (int d = 0; d < kKeyDigits; ++d) {
+    uint32_t* count = counts[d];
+    if (count[KeyDigit(keys[0], d)] == n) continue;  // Every key shares digit d.
+    uint32_t offset = 0;
+    for (int v = 0; v < 256; ++v) offset += std::exchange(count[v], offset);
+    for (const EntryKey& key : keys) scratch[count[KeyDigit(key, d)]++] = key;
+    keys.swap(scratch);
+  }
 }
 
 }  // namespace
@@ -114,6 +168,8 @@ const ExtendedGraphSystem& ExtendedSystemCache::Prepare(const graph::Subgraph& f
                                                         double world_score,
                                                         size_t global_size,
                                                         WorldLinkWeighting weighting) {
+  std::optional<ThreadCpuTimer> timer;
+  if (obs::Enabled()) timer.emplace();
   const size_t n = fragment.NumLocalPages();
   JXP_CHECK_GE(global_size, n) << "global size estimate below local page count";
   JXP_CHECK_GT(world_score, 0.0);
@@ -128,26 +184,20 @@ const ExtendedGraphSystem& ExtendedSystemCache::Prepare(const graph::Subgraph& f
   // Snapshot the world node's raw link terms, projected onto the fragment,
   // in canonical (target, inv_out, score) order. The order fixes the world
   // row's float accumulation, so it must be a function of the world node's
-  // content alone. Entries are visited in (inv_out, score) order — ascending
-  // 1/out(r) is exactly descending out(r) for 32-bit degrees — and a stable
-  // counting pass over the local target indices groups their terms by
-  // target: a sort of the entries replaces a sort of all their terms.
+  // content alone. Entries are radix-sorted into (inv_out, score) order —
+  // ascending 1/out(r) is exactly descending out(r) for 32-bit degrees —
+  // and a stable counting pass over the local target indices groups their
+  // terms by target: a sort of the entries replaces a sort of all their
+  // terms, and no comparison sort runs at all.
   uniform_share_ =
       world.NumEntries() > 0 ? 1.0 / static_cast<double>(world.NumEntries()) : 0.0;
-  struct EntryKey {
-    uint32_t out_degree;
-    uint32_t entry;
-    double score;
-  };
-  std::vector<EntryKey> order;
-  order.reserve(world.NumEntries());
-  for (size_t e = 0; e < world.NumEntries(); ++e) {
-    order.push_back({world.out_degrees()[e], static_cast<uint32_t>(e), world.scores()[e]});
+  std::vector<EntryKey> order(world.NumEntries());
+  for (size_t e = 0; e < order.size(); ++e) {
+    const double score = world.scores()[e];
+    order[e] = {score == 0.0 ? 0 : std::bit_cast<uint64_t>(score),
+                ~world.out_degrees()[e], static_cast<uint32_t>(e)};
   }
-  std::sort(order.begin(), order.end(), [](const EntryKey& a, const EntryKey& b) {
-    if (a.out_degree != b.out_degree) return a.out_degree > b.out_degree;
-    return a.score < b.score;
-  });
+  RadixSortEntries(order);
   // Counting pass: project every target once, counting terms per target.
   std::vector<graph::Subgraph::LocalIndex> local(world.NumLinks());
   std::vector<size_t> next(n + 1, 0);
@@ -161,14 +211,16 @@ const ExtendedGraphSystem& ExtendedSystemCache::Prepare(const graph::Subgraph& f
   }
   for (size_t t = 0; t < n; ++t) next[t + 1] += next[t];
   // Placement pass, stable: within a target, terms keep the entry order.
+  // The score comes from the world node, so a -0.0 keeps its sign bit.
   terms_.resize(next[n]);
   k = 0;
   for (const EntryKey& key : order) {
-    const double inv_out = 1.0 / static_cast<double>(key.out_degree);
+    const double inv_out = 1.0 / static_cast<double>(~key.inv_degree);
+    const double score = world.scores()[key.entry];
     for (size_t j = 0; j < world.targets(key.entry).size(); ++j, ++k) {
       const graph::Subgraph::LocalIndex t = local[k];
       if (t == graph::Subgraph::kNotLocal) continue;  // Target projected away.
-      terms_[next[t]++] = {t, inv_out, key.score};
+      terms_[next[t]++] = {t, inv_out, score};
     }
   }
   dangling_mass_ = world.TotalDanglingScore();
@@ -187,6 +239,7 @@ const ExtendedGraphSystem& ExtendedSystemCache::Prepare(const graph::Subgraph& f
 
   RebuildWorldRow(world_score);
   prepared_ = true;
+  if (timer.has_value()) GetCacheMetrics().prepare_ms.Observe(timer->ElapsedMillis());
   return system_;
 }
 

@@ -50,8 +50,9 @@ struct ExtendedGraphSystem {
 ///   ReplaceFragment, the sole structural fragment change);
 /// - Prepare() snapshots the world node's raw link terms (target, 1/out(r),
 ///   alpha(r)) and regenerates the world row for the given denominator —
-///   a sort of the world entries plus linear passes, no local-row rebuild,
-///   no builder sort of local rows;
+///   a radix sort of the world entries by (out-degree descending, score)
+///   plus linear counting and placement passes: no comparison sort of
+///   entries or terms, no local-row rebuild, no builder sort of local rows;
 /// - Rescale() regenerates the world row for a new denominator from the
 ///   snapshot — the O(world entries) step JxpPeer's self-consistent
 ///   denominator guard loop runs instead of a full BuildExtendedSystem.
@@ -119,7 +120,10 @@ class ExtendedSystemCache {
   WorldLinkWeighting weighting_ = WorldLinkWeighting::kScoreProportional;
   double uniform_share_ = 0;
   double dangling_mass_ = 0;
-  std::vector<WorldTerm> terms_;  // Canonical (target, inv_out, score) order.
+  /// Canonical (target, inv_out, score) order. Terms that tie are equal
+  /// triples (up to the sign of a zero score, which adds nothing to a row
+  /// sum), so the row is a function of the world node's content.
+  std::vector<WorldTerm> terms_;
   std::vector<markov::MatrixEntry> world_row_;  // Scratch, reused per rebuild.
   ExtendedGraphSystem system_;
 };

@@ -93,7 +93,7 @@ struct ServedResult {
 /// index (plus a borrowed view of the mutable index for the TA arm) and
 /// evaluates query streams across the deterministic thread pool. Each query
 /// runs its processor against every registered peer and merges the per-peer
-/// top-k lists; queries are statically partitioned over workers, per-query
+/// top-k lists; queries are split into fixed blocks that workers claim, per-query
 /// work is a pure function of (indexes, query, k), and work counters flow
 /// into `jxp.qp.*` metrics through thread-local shards — so results and
 /// non-timing metric snapshots are bit-identical at any thread count.

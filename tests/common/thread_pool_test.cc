@@ -1,9 +1,12 @@
 #include "common/thread_pool.h"
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -104,6 +107,59 @@ TEST(ThreadPoolTest, ReusableAcrossManyLaunches) {
     pool.ParallelFor(0, 64, 4, [&](size_t) { ++count; });
     ASSERT_EQ(count.load(), 64);
   }
+}
+
+TEST(ThreadPoolTest, SlowBlockDoesNotHoldQueuedBlocks) {
+  // Block 0 waits for blocks 1-3. Workers claim blocks as they free up, so
+  // the other thread runs all three; with blocks tied to worker b % 2,
+  // block 2 would queue behind block 0 and the wait would time out.
+  ThreadPool pool(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t others_done = 0;
+  bool block0_saw_others = false;
+  pool.ParallelFor(0, 4, 1, [&](size_t i) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (i == 0) {
+      block0_saw_others =
+          cv.wait_for(lock, std::chrono::seconds(5), [&] { return others_done == 3; });
+    } else if (++others_done == 3) {
+      cv.notify_all();
+    }
+  });
+  EXPECT_TRUE(block0_saw_others);
+  EXPECT_EQ(others_done, 3u);
+}
+
+TEST(ThreadPoolTest, OverlappingLaunchAborts) {
+  // A second multi-block launch while one is in flight would reset the
+  // shared block counter under the first; the pool aborts instead. The
+  // threadsafe style re-executes the test binary, so the pool's threads
+  // are not forked mid-flight (and TSan accepts it).
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        ThreadPool pool(2);
+        pool.ParallelFor(0, 2, 1, [&](size_t) {
+          pool.ParallelFor(0, 4, 1, [](size_t) {});
+        });
+      },
+      "nested or concurrent ParallelFor");
+  EXPECT_DEATH(
+      {
+        ThreadPool pool(2);
+        std::atomic<bool> running{false};
+        std::thread launcher([&] {
+          pool.ParallelFor(0, 2, 1, [&](size_t) {
+            running = true;
+            std::this_thread::sleep_for(std::chrono::seconds(10));
+          });
+        });
+        while (!running) std::this_thread::yield();
+        pool.ParallelFor(0, 4, 1, [](size_t) {});
+        launcher.join();
+      },
+      "nested or concurrent ParallelFor");
 }
 
 }  // namespace

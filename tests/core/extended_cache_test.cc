@@ -7,6 +7,8 @@
 #include "graph/graph.h"
 #include "graph/subgraph.h"
 #include "markov/power_iteration.h"
+#include "obs/metrics.h"
+#include "obs/telemetry.h"
 
 namespace jxp {
 namespace core {
@@ -236,6 +238,35 @@ TEST(ExtendedSystemCacheTest, CachedLocalRowsMatchTracksInvalidation) {
   cache.Prepare(c.fragment, c.world, 0.7, c.global_size,
                 WorldLinkWeighting::kScoreProportional);
   EXPECT_TRUE(cache.CachedLocalRowsMatch(c.fragment.NumLocalPages()));
+}
+
+uint64_t PrepareSamples() {
+  for (const auto& h : obs::MetricsRegistry::Global().Snapshot().histograms) {
+    if (h.name == "jxp.extended_cache.prepare_ms") return h.data.count();
+  }
+  return 0;
+}
+
+TEST(ExtendedSystemCacheTest, PrepareRecordsOneCpuSampleAndIgnoresTelemetry) {
+  RandomCase c(71);
+  const uint64_t start = PrepareSamples();
+  ExtendedSystemCache off_cache;
+  {
+    obs::ScopedEnable off(false);
+    off_cache.Prepare(c.fragment, c.world, 0.7, c.global_size,
+                      WorldLinkWeighting::kScoreProportional);
+  }
+  EXPECT_EQ(PrepareSamples(), start);
+  obs::ScopedEnable on(true);
+  if (!obs::Enabled()) GTEST_SKIP() << "telemetry is compiled out";
+  ExtendedSystemCache on_cache;
+  const ExtendedGraphSystem& traced = on_cache.Prepare(
+      c.fragment, c.world, 0.7, c.global_size, WorldLinkWeighting::kScoreProportional);
+  EXPECT_EQ(PrepareSamples(), start + 1);
+  ExpectSystemsIdentical(traced, off_cache.system());
+  // A Rescale is not a Prepare: no sample.
+  on_cache.Rescale(0.4);
+  EXPECT_EQ(PrepareSamples(), start + 1);
 }
 
 }  // namespace

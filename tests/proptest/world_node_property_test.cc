@@ -5,11 +5,15 @@
 // combine modes and with authoritative reports mixed in. A second property
 // pins the extended system's world row, built with the counting-pass term
 // order, bit for bit to one built with a global (target, inv_out, score)
-// sort of terms gathered in an arbitrary entry order.
+// sort of terms gathered in an arbitrary entry order; a third repeats that
+// check on keys that vary every byte digit of Prepare's radix sort.
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -373,6 +377,151 @@ CheckResult WorldRowMatchesGlobalSort(const WorldOpsCase& c) {
 
 TEST(WorldNodeProperty, PrepareWorldRowMatchesGlobalTermSort) {
   ForAll<WorldOpsCase>(0x301d0002, 60, GenerateWorldOpsCase, WorldRowMatchesGlobalSort);
+}
+
+/// A world node whose entry keys stress every byte digit of Prepare's radix
+/// order: extreme out-degrees, signed zeros, subnormal and near-equal scores.
+struct WideKeyCase {
+  enum Shape { kMixed, kEmpty, kOneEntry, kAllEqual };
+  uint64_t seed = 0;
+  Shape shape = kMixed;
+  size_t num_entries = 100;
+  size_t num_targets = 6;  // Few targets, so each one collects many terms.
+
+  std::string Describe() const {
+    std::ostringstream os;
+    os << "seed=" << seed << " shape=" << shape << " entries=" << num_entries
+       << " targets=" << num_targets;
+    return os.str();
+  }
+
+  std::vector<WideKeyCase> Shrink() const {
+    std::vector<WideKeyCase> candidates;
+    if (shape == kMixed && num_entries > 2) {
+      WideKeyCase c = *this;
+      c.num_entries /= 2;
+      candidates.push_back(c);
+    }
+    if (num_targets > 1) {
+      WideKeyCase c = *this;
+      c.num_targets /= 2;
+      candidates.push_back(c);
+    }
+    return candidates;
+  }
+};
+
+WideKeyCase GenerateWideKeyCase(uint64_t seed) {
+  WideKeyCase c;
+  c.seed = seed;
+  Random rng(seed ^ 0x5ad1c0deULL);
+  const uint64_t pick = rng.NextBounded(10);
+  c.shape = pick < 7 ? WideKeyCase::kMixed : static_cast<WideKeyCase::Shape>(pick - 6);
+  c.num_entries = 2 + rng.NextBounded(200);
+  if (c.shape == WideKeyCase::kEmpty) c.num_entries = 0;
+  if (c.shape == WideKeyCase::kOneEntry) c.num_entries = 1;
+  c.num_targets = 1 + rng.NextBounded(8);
+  return c;
+}
+
+/// Out-degrees that vary every byte digit of the key: byte boundaries
+/// (255/256, 65535/65536) and the 32-bit extremes.
+constexpr uint32_t kWideDegrees[] = {1, 2, 255, 256, 65535, 65536, 16777216, 0xffffffffu};
+
+/// Scores: signed zeros, subnormals differing only in their lowest byte,
+/// 1.0 and its neighbours, one near-equal cluster, and many binades.
+double WideScore(Random& rng, double cluster) {
+  switch (rng.NextBounded(7)) {
+    case 0:
+      return rng.NextBool(0.5) ? 0.0 : -0.0;
+    case 1:
+      return std::numeric_limits<double>::denorm_min() *
+             static_cast<double>(1 + rng.NextBounded(3));
+    case 2:
+      return std::numeric_limits<double>::min() * 0.5;
+    case 3:  // 1.0 or a neighbour of it.
+      return std::nextafter(1.0, static_cast<double>(rng.NextBounded(3)));
+    case 4:  // The cluster base, changed in one low byte of its mantissa.
+      return std::bit_cast<double>(std::bit_cast<uint64_t>(cluster) +
+                                   (rng.NextBounded(4) << (8 * rng.NextBounded(5))));
+    case 5:  // Any of 40 binades below 1.
+      return std::ldexp(rng.NextDouble(), -static_cast<int>(rng.NextBounded(40)));
+    default:
+      return rng.NextDouble();
+  }
+}
+
+CheckResult WorldRowMatchesGlobalSortOnWideKeys(const WideKeyCase& c) {
+  Random rng(c.seed);
+  // Fragment: local pages [1000, 1000 + num_targets); entries also link to
+  // two non-local ids, which project away.
+  std::vector<PageId> pages;
+  std::vector<std::vector<PageId>> successors;
+  for (size_t t = 0; t < c.num_targets; ++t) {
+    pages.push_back(static_cast<PageId>(1000 + t));
+    successors.push_back({static_cast<PageId>(rng.NextBounded(500))});
+  }
+  const graph::Subgraph fragment =
+      graph::Subgraph::FromKnowledge(std::move(pages), std::move(successors));
+
+  // Entries on distinct pages, so equal (degree, score) pairs land on
+  // different pages; a kAllEqual world repeats one key, so every digit of
+  // the radix sort is skipped.
+  const uint32_t equal_degree = kWideDegrees[rng.NextBounded(std::size(kWideDegrees))];
+  const double cluster = 0.25 + 0.5 * rng.NextDouble();
+  const double equal_score = WideScore(rng, cluster);
+  std::set<PageId> used;
+  WorldNode world;
+  for (size_t e = 0; e < c.num_entries; ++e) {
+    PageId page = 0;
+    do {
+      page = static_cast<PageId>(2000 + rng.NextBounded(100000));
+    } while (!used.insert(page).second);
+    uint32_t degree = equal_degree;
+    double score = equal_score;
+    if (c.shape != WideKeyCase::kAllEqual) {
+      degree = rng.NextBool(0.8)
+                   ? kWideDegrees[rng.NextBounded(std::size(kWideDegrees))]
+                   : static_cast<uint32_t>(1 + rng.NextBounded(0xfffffffeULL));
+      score = WideScore(rng, cluster);
+    } else if (score == 0.0 && rng.NextBool(0.5)) {
+      score = -score;  // Signed zeros key alike.
+    }
+    std::vector<PageId> targets(1 + rng.NextBounded(3));
+    for (PageId& t : targets) {
+      t = static_cast<PageId>(1000 + rng.NextBounded(c.num_targets + 2));
+    }
+    world.Observe(page, degree, score, targets, CombineMode::kAverage);
+  }
+  std::vector<size_t> order(world.NumEntries());
+  for (size_t e = 0; e < order.size(); ++e) order[e] = e;
+  rng.Shuffle(order);
+
+  const size_t global_size = 100000 + fragment.NumLocalPages();
+  for (const auto weighting :
+       {core::WorldLinkWeighting::kScoreProportional, core::WorldLinkWeighting::kUniform}) {
+    for (const double denominator : {0.9, 0.05}) {
+      const core::ExtendedGraphSystem system =
+          core::BuildExtendedSystem(fragment, world, denominator, global_size, weighting);
+      const std::vector<markov::MatrixEntry> want =
+          ReferenceWorldRow(fragment, world, order, denominator, global_size, weighting);
+      const auto got = system.matrix.Row(fragment.NumLocalPages());
+      if (got.size() != want.size()) return "world row length differs";
+      for (size_t k = 0; k < want.size(); ++k) {
+        if (got[k].column != want[k].column || !SameBits(got[k].weight, want[k].weight)) {
+          std::ostringstream os;
+          os << "world row entry " << k << " differs (denominator " << denominator << ")";
+          return os.str();
+        }
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(WorldNodeProperty, PrepareWorldRowMatchesGlobalTermSortOnWideKeys) {
+  ForAll<WideKeyCase>(0x301d0003, 200, GenerateWideKeyCase,
+                      WorldRowMatchesGlobalSortOnWideKeys);
 }
 
 }  // namespace
