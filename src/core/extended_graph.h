@@ -1,6 +1,7 @@
 #ifndef JXP_CORE_EXTENDED_GRAPH_H_
 #define JXP_CORE_EXTENDED_GRAPH_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "core/world_node.h"
@@ -48,18 +49,18 @@ struct ExtendedGraphSystem {
 /// - local rows are built once per fragment and reused across meetings;
 ///   they are dropped only by InvalidateFragment() (called on
 ///   ReplaceFragment, the sole structural fragment change);
-/// - Prepare() snapshots the world node's raw link terms (target, 1/out(r),
-///   alpha(r)) and regenerates the world row for the given denominator —
-///   a radix sort of the world entries by (out-degree descending, score)
-///   plus linear counting and placement passes: no comparison sort of
-///   entries or terms, no local-row rebuild, no builder sort of local rows;
+/// - Prepare() makes one pass over the world node in page order, summing
+///   each entry's (1/out(r)) * alpha(r) into a dense per-target in-mass,
+///   then regenerates the world row for the given denominator in one scan
+///   in column order: no sort of entries, terms or row entries;
 /// - Rescale() regenerates the world row for a new denominator from the
-///   snapshot — the O(world entries) step JxpPeer's self-consistent
+///   per-target in-mass — the O(n) step JxpPeer's self-consistent
 ///   denominator guard loop runs instead of a full BuildExtendedSystem.
 ///
-/// The world row is regenerated with arithmetic identical to a fresh
-/// BuildExtendedSystem at the same denominator, so the cached and the
-/// freshly built systems agree bit for bit.
+/// The world node is sorted by page, so the summation order is a function
+/// of its content alone: the row is bit-identical for equal world nodes
+/// however they were built, and the cached and the freshly built systems
+/// agree bit for bit.
 class ExtendedSystemCache {
  public:
   ExtendedSystemCache() = default;
@@ -75,7 +76,7 @@ class ExtendedSystemCache {
                                      size_t global_size, WorldLinkWeighting weighting);
 
   /// Regenerates the world row for a new denominator, keeping the local
-  /// rows, the world snapshot, and the teleport/dangling vectors of the
+  /// rows, the per-target in-mass, and the teleport/dangling vectors of the
   /// last Prepare. Only valid after a Prepare.
   const ExtendedGraphSystem& Rescale(double world_score);
 
@@ -102,14 +103,6 @@ class ExtendedSystemCache {
   ExtendedGraphSystem TakeSystem() && { return std::move(system_); }
 
  private:
-  /// One raw world-row term: external page r contributes weight
-  /// (1/out(r)) * alpha(r)/alpha_w to local page `target`.
-  struct WorldTerm {
-    uint32_t target = 0;
-    double inv_out = 0;
-    double score = 0;
-  };
-
   void RebuildLocalRows(const graph::Subgraph& fragment);
   void RebuildWorldRow(double denominator);
 
@@ -118,12 +111,13 @@ class ExtendedSystemCache {
   size_t num_local_ = 0;
   size_t global_size_ = 0;
   WorldLinkWeighting weighting_ = WorldLinkWeighting::kScoreProportional;
-  double uniform_share_ = 0;
   double dangling_mass_ = 0;
-  /// Canonical (target, inv_out, score) order. Terms that tie are equal
-  /// triples (up to the sign of a zero score, which adds nothing to a row
-  /// sum), so the row is a function of the world node's content.
-  std::vector<WorldTerm> terms_;
+  /// Per local target t: the sum, in world-node page order, of
+  /// (1/out(r)) * alpha(r) over the entries r linking to t (alpha(r) is the
+  /// uniform share under kUniform); `linked_` marks the targets with at
+  /// least one such entry, the world row's columns besides the dangling ones.
+  std::vector<double> world_in_;
+  std::vector<uint8_t> linked_;
   std::vector<markov::MatrixEntry> world_row_;  // Scratch, reused per rebuild.
   ExtendedGraphSystem system_;
 };

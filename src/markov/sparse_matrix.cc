@@ -6,6 +6,10 @@
 namespace jxp {
 namespace markov {
 
+namespace {
+
+/// Sorts `row` by column and merges duplicate columns by adding their
+/// weights (left to right in sorted order).
 void SortAndMergeRow(std::vector<MatrixEntry>& row) {
   std::sort(row.begin(), row.end(),
             [](const MatrixEntry& a, const MatrixEntry& b) { return a.column < b.column; });
@@ -19,6 +23,8 @@ void SortAndMergeRow(std::vector<MatrixEntry>& row) {
   }
   row.resize(w);
 }
+
+}  // namespace
 
 SparseMatrix SparseMatrix::FromCsr(std::vector<uint64_t> row_offsets,
                                    std::vector<MatrixEntry> entries) {

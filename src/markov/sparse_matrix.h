@@ -16,11 +16,6 @@ struct MatrixEntry {
   double weight = 0;
 };
 
-/// Sorts `row` by column and merges duplicate columns by adding their
-/// weights (left to right in sorted order). Shared by SparseMatrixBuilder
-/// and core::ExtendedSystemCache so both produce bit-identical rows.
-void SortAndMergeRow(std::vector<MatrixEntry>& row);
-
 /// Square sparse row-major matrix of transition probabilities.
 ///
 /// Rows may be *substochastic* (sum < 1): a row summing to zero models a

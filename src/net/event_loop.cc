@@ -73,64 +73,49 @@ Status EventLoop::Remove(int fd) {
 
 EventLoop::TimerId EventLoop::AddTimer(uint64_t delay_ms, TimerCallback callback) {
   const TimerId id = next_timer_id_++;
-  const uint64_t deadline = NowMs() + delay_ms;
-  wheel_[SlotOf(deadline)].push_back(Timer{id, deadline, std::move(callback)});
-  ++pending_timers_;
+  heap_.push_back({NowMs() + delay_ms, id});
+  std::push_heap(heap_.begin(), heap_.end(), Later);
+  callbacks_.emplace(id, std::move(callback));
   return id;
 }
 
 void EventLoop::CancelTimer(TimerId id) {
-  for (auto& slot : wheel_) {
-    for (auto it = slot.begin(); it != slot.end(); ++it) {
-      if (it->id == id) {
-        slot.erase(it);
-        --pending_timers_;
-        return;
-      }
-    }
+  if (callbacks_.erase(id) != 0) DropCancelledKeys();
+}
+
+void EventLoop::DropCancelledKeys() {
+  if (heap_.size() > 2 * callbacks_.size() + 16) {
+    std::erase_if(heap_, [&](const TimerKey& key) { return !callbacks_.contains(key.id); });
+    std::make_heap(heap_.begin(), heap_.end(), Later);
+  }
+  while (!heap_.empty() && !callbacks_.contains(heap_.front().id)) {
+    std::pop_heap(heap_.begin(), heap_.end(), Later);
+    heap_.pop_back();
   }
 }
 
 void EventLoop::FireExpiredTimers(uint64_t now_ms) {
-  if (pending_timers_ == 0) {
-    last_tick_ = now_ms / kTickMs;
-    return;
+  // Expired callbacks may AddTimer (re-arm); collect the due ids first, so a
+  // timer armed by a callback is not fired in the same pass.
+  std::vector<TimerId> due;
+  while (!heap_.empty() && heap_.front().deadline_ms <= now_ms) {
+    std::pop_heap(heap_.begin(), heap_.end(), Later);
+    due.push_back(heap_.back().id);
+    heap_.pop_back();
   }
-  const uint64_t now_tick = now_ms / kTickMs;
-  // Sweep at most one full wheel revolution: every slot that could hold an
-  // expired timer is covered, and deadlines further out re-park in place.
-  const uint64_t first = last_tick_ + 1;
-  const uint64_t span = now_tick >= first ? now_tick - first + 1 : 0;
-  const uint64_t sweeps = std::min<uint64_t>(span, kWheelSlots);
-  // Expired callbacks may AddTimer (re-arm); collect first, then run, so a
-  // re-armed timer landing in a swept slot is not fired in the same pass.
-  std::vector<Timer> expired;
-  for (uint64_t i = 0; i < sweeps; ++i) {
-    auto& slot = wheel_[static_cast<size_t>((first + i) % kWheelSlots)];
-    for (auto it = slot.begin(); it != slot.end();) {
-      if (it->deadline_ms <= now_ms) {
-        expired.push_back(std::move(*it));
-        it = slot.erase(it);
-        --pending_timers_;
-      } else {
-        ++it;
-      }
-    }
+  DropCancelledKeys();
+  for (const TimerId id : due) {
+    const auto it = callbacks_.find(id);
+    if (it == callbacks_.end()) continue;  // Cancelled, possibly by an earlier callback.
+    TimerCallback callback = std::move(it->second);
+    callbacks_.erase(it);
+    callback();
   }
-  last_tick_ = now_tick;
-  std::sort(expired.begin(), expired.end(), [](const Timer& a, const Timer& b) {
-    return a.deadline_ms != b.deadline_ms ? a.deadline_ms < b.deadline_ms
-                                          : a.id < b.id;
-  });
-  for (Timer& timer : expired) timer.callback();
 }
 
 int EventLoop::TimeoutUntilNextTimer(uint64_t now_ms, int fallback_ms) const {
-  if (pending_timers_ == 0) return fallback_ms;
-  uint64_t earliest = std::numeric_limits<uint64_t>::max();
-  for (const auto& slot : wheel_) {
-    for (const Timer& timer : slot) earliest = std::min(earliest, timer.deadline_ms);
-  }
+  if (heap_.empty()) return fallback_ms;
+  const uint64_t earliest = heap_.front().deadline_ms;  // A pending timer's.
   if (earliest <= now_ms) return 0;
   const uint64_t wait = earliest - now_ms;
   const uint64_t cap = fallback_ms < 0 ? std::numeric_limits<int>::max()

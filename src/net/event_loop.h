@@ -1,7 +1,6 @@
 #ifndef JXP_NET_EVENT_LOOP_H_
 #define JXP_NET_EVENT_LOOP_H_
 
-#include <array>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -14,28 +13,24 @@
 namespace jxp {
 namespace net {
 
-/// A single-threaded, level-triggered epoll reactor with a hashed timing
-/// wheel (DESIGN.md §6k). One EventLoop drives one PeerDaemon: readiness
+/// A single-threaded, level-triggered epoll reactor with a timer heap
+/// (DESIGN.md §6k). One EventLoop drives one PeerDaemon: readiness
 /// callbacks own all protocol state, so the daemon needs no locks.
 ///
 /// Level-triggered on purpose: callbacks may leave bytes unread (e.g. the
 /// frame assembler stops at a frame boundary before a blob handoff) and the
 /// next poll re-reports readiness — no starvation bookkeeping.
 ///
-/// Timers live on a 256-slot wheel keyed by deadline tick (4 ms
-/// granularity); each slot holds the timers hashing to it with their full
-/// deadline, so a sweep fires exactly the expired ones and re-parks the
-/// rest (the classic "rounds" check, expressed as a deadline comparison).
-/// Retry/backoff deadlines in the daemon are tens of milliseconds and up,
-/// so 4 ms granularity is invisible.
+/// Timers sit in a binary min-heap keyed by (deadline, id), with their
+/// callbacks in a map by id. Cancelling erases the callback and leaves the
+/// heap key behind (lazy cancel); keys of cancelled timers are dropped when
+/// they reach the top, so the top is always a pending timer and the wait
+/// until the next deadline is read in O(1). Deadlines have 1 ms resolution.
 class EventLoop {
  public:
   using FdCallback = std::function<void(uint32_t epoll_events)>;
   using TimerCallback = std::function<void()>;
   using TimerId = uint64_t;
-
-  static constexpr uint64_t kTickMs = 4;
-  static constexpr size_t kWheelSlots = 256;
 
   EventLoop();
   ~EventLoop();
@@ -57,9 +52,10 @@ class EventLoop {
   /// for CancelTimer. Safe to call from inside callbacks (including timer
   /// callbacks re-arming themselves).
   TimerId AddTimer(uint64_t delay_ms, TimerCallback callback);
-  /// Cancels a pending timer; a no-op when the timer already fired.
+  /// Cancels a pending timer; a no-op when the timer already fired. A
+  /// timer cancelled by an earlier callback of the same poll does not fire.
   void CancelTimer(TimerId id);
-  size_t pending_timers() const { return pending_timers_; }
+  size_t pending_timers() const { return callbacks_.size(); }
 
   /// Milliseconds of monotonic time since loop construction. All timer
   /// deadlines are in this clock.
@@ -81,17 +77,20 @@ class EventLoop {
   int wakeup_fd() const { return wakeup_writer_.get(); }
 
  private:
-  struct Timer {
-    TimerId id = 0;
+  struct TimerKey {
     uint64_t deadline_ms = 0;
-    TimerCallback callback;
+    TimerId id = 0;
   };
-
-  size_t SlotOf(uint64_t deadline_ms) const {
-    return static_cast<size_t>(deadline_ms / kTickMs) % kWheelSlots;
+  /// Heap order: the earliest (deadline, id) on top.
+  static bool Later(const TimerKey& a, const TimerKey& b) {
+    return a.deadline_ms != b.deadline_ms ? a.deadline_ms > b.deadline_ms : a.id > b.id;
   }
-  /// Fires every timer with deadline <= now, sweeping the slots between the
-  /// last processed tick and now's tick.
+
+  /// Pops the keys of cancelled timers off the top of the heap, and
+  /// compacts the heap once cancelled keys outnumber pending timers by more
+  /// than a small slack, so cancelled keys cost O(1) amortized per cancel.
+  void DropCancelledKeys();
+  /// Fires every timer with deadline <= now in (deadline, id) order.
   void FireExpiredTimers(uint64_t now_ms);
   /// Milliseconds until the earliest pending deadline (0 when overdue);
   /// `fallback_ms` when no timers are pending.
@@ -101,10 +100,9 @@ class EventLoop {
   UniqueFd wakeup_reader_;
   UniqueFd wakeup_writer_;
   std::unordered_map<int, FdCallback> fds_;
-  std::array<std::vector<Timer>, kWheelSlots> wheel_;
-  size_t pending_timers_ = 0;
+  std::vector<TimerKey> heap_;
+  std::unordered_map<TimerId, TimerCallback> callbacks_;
   uint64_t next_timer_id_ = 1;
-  uint64_t last_tick_ = 0;
   bool stopped_ = false;
   std::chrono::steady_clock::time_point epoch_;
 };

@@ -78,8 +78,8 @@ enum class MeetOutcome {
   kFailed,      // Mid-meeting IO/protocol failure.
 };
 
-/// Drives a daemon's autonomous meeting cadence on the event-loop timing
-/// wheel (DESIGN.md §6l): each tick draws the next partner uniformly from
+/// Drives a daemon's autonomous meeting cadence on the event-loop timer
+/// heap (DESIGN.md §6l): each tick draws the next partner uniformly from
 /// the live directory through a dedicated seeded Random stream, skips
 /// partners inside their back-off window, runs the meeting via the
 /// injected callback, and re-arms itself interval+jitter later. Single

@@ -1,9 +1,14 @@
+#include <bit>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
 #include "core/extended_graph.h"
+#include "core/jxp_peer.h"
+#include "core/state_io.h"
 #include "graph/graph.h"
 #include "graph/subgraph.h"
 #include "markov/power_iteration.h"
@@ -238,6 +243,98 @@ TEST(ExtendedSystemCacheTest, CachedLocalRowsMatchTracksInvalidation) {
   cache.Prepare(c.fragment, c.world, 0.7, c.global_size,
                 WorldLinkWeighting::kScoreProportional);
   EXPECT_TRUE(cache.CachedLocalRowsMatch(c.fragment.NumLocalPages()));
+}
+
+/// Asserts the world rows of `a` and `b` agree in columns and weight bits.
+void ExpectWorldRowsBitIdentical(const ExtendedGraphSystem& a, const ExtendedGraphSystem& b) {
+  ASSERT_EQ(a.matrix.NumStates(), b.matrix.NumStates());
+  const auto row_a = a.matrix.Row(a.matrix.NumStates() - 1);
+  const auto row_b = b.matrix.Row(b.matrix.NumStates() - 1);
+  ASSERT_EQ(row_a.size(), row_b.size());
+  for (size_t k = 0; k < row_a.size(); ++k) {
+    EXPECT_EQ(row_a[k].column, row_b[k].column) << "entry " << k;
+    EXPECT_EQ(std::bit_cast<uint64_t>(row_a[k].weight),
+              std::bit_cast<uint64_t>(row_b[k].weight))
+        << "entry " << k;
+  }
+  EXPECT_EQ(a.world_row_clamped, b.world_row_clamped);
+}
+
+TEST(ExtendedSystemCacheTest, WorldRowDependsOnlyOnWorldContent) {
+  // The world row sums each target's terms in world-node page order, so it
+  // must be a function of the world node's content: equal content reached
+  // through any Observe order, or through a save/load of the peer state,
+  // gives the same bits, and a Rescale gives the bits of a fresh Prepare.
+  RandomCase c(81);
+  struct Report {
+    graph::PageId page;
+    double score;
+    std::vector<graph::PageId> targets;
+  };
+  // Take-max reports, several per page, so the combined scores and target
+  // unions do not depend on the report order.
+  std::vector<Report> reports;
+  std::vector<graph::PageId> dangling;
+  for (size_t r = 0; r < 200; ++r) {
+    const graph::PageId page = static_cast<graph::PageId>(c.rng.NextBounded(c.global_size));
+    if (c.fragment.LocalIndexOf(page) != graph::Subgraph::kNotLocal) continue;
+    if (r % 10 == 0) {
+      dangling.push_back(page);
+      continue;
+    }
+    Report report{page, c.rng.NextDouble() * 0.01, {}};
+    const size_t num_targets = 1 + c.rng.NextBounded(4);
+    for (size_t k = 0; k < num_targets; ++k) {
+      report.targets.push_back(c.fragment.GlobalId(
+          static_cast<uint32_t>(c.rng.NextBounded(c.fragment.NumLocalPages()))));
+    }
+    reports.push_back(std::move(report));
+  }
+  auto build = [&](const std::vector<Report>& in_order) {
+    WorldNode world;
+    for (const Report& report : in_order) {
+      world.Observe(report.page, OutDegreeOf(report.page), report.score, report.targets,
+                    CombineMode::kTakeMax);
+    }
+    for (graph::PageId page : dangling) {
+      world.ObserveDangling(page, 0.002 + 1e-5 * page, CombineMode::kTakeMax);
+    }
+    return world;
+  };
+  const WorldNode world = build(reports);
+  std::vector<WorldNode> same_content;
+  for (int shuffle = 0; shuffle < 3; ++shuffle) {
+    std::vector<Report> shuffled = reports;
+    c.rng.Shuffle(shuffled);
+    same_content.push_back(build(shuffled));
+  }
+  const std::string path = ::testing::TempDir() + "/world_row_content.jxp";
+  {
+    const JxpPeer peer(0, c.fragment, c.global_size, JxpOptions(),
+                       std::vector<double>(c.fragment.NumLocalPages(),
+                                           1.0 / static_cast<double>(c.global_size)),
+                       world, 0.6);
+    ASSERT_TRUE(SavePeerState(peer, path).ok());
+  }
+  auto loaded = LoadPeerState(path, JxpOptions());
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  same_content.push_back(loaded->world_node());
+
+  for (const auto weighting :
+       {WorldLinkWeighting::kScoreProportional, WorldLinkWeighting::kUniform}) {
+    ExtendedSystemCache cache;
+    cache.Prepare(c.fragment, world, 0.6, c.global_size, weighting);
+    for (const double d : {0.6, 0.33, 0.02}) {
+      const ExtendedGraphSystem fresh =
+          BuildExtendedSystem(c.fragment, world, d, c.global_size, weighting);
+      ExpectWorldRowsBitIdentical(cache.Rescale(d), fresh);
+      for (const WorldNode& other : same_content) {
+        ExpectWorldRowsBitIdentical(
+            BuildExtendedSystem(c.fragment, other, d, c.global_size, weighting), fresh);
+      }
+    }
+  }
 }
 
 uint64_t PrepareSamples() {

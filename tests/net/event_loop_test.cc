@@ -142,6 +142,30 @@ TEST(EventLoopTest, NowMsIsMonotonic) {
   EXPECT_GE(t1, t0 + 4);
 }
 
+TEST(EventLoopTest, SubTickTimerFiresPromptly) {
+  // A timer armed right after a poll, due in the millisecond that poll just
+  // covered, fires on the next poll; a few-millisecond timer armed there
+  // fires after one or two waiting polls, not after a spin of empty ones.
+  EventLoop loop;
+  loop.RunOnce(0);
+  bool fired = false;
+  loop.AddTimer(0, [&] { fired = true; });
+  loop.RunOnce(100);
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(loop.pending_timers(), 0u);
+
+  fired = false;
+  loop.RunOnce(0);
+  loop.AddTimer(2, [&] { fired = true; });
+  int polls = 0;
+  while (!fired && polls < 1000) {
+    loop.RunOnce(100);
+    ++polls;
+  }
+  EXPECT_TRUE(fired);
+  EXPECT_LE(polls, 3);
+}
+
 }  // namespace
 }  // namespace net
 }  // namespace jxp

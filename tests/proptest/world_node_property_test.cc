@@ -3,10 +3,10 @@
 // applied to core::WorldNode and to a small map-based reference model of the
 // same semantics must leave both with bit-identical contents, under both
 // combine modes and with authoritative reports mixed in. A second property
-// pins the extended system's world row, built with the counting-pass term
-// order, bit for bit to one built with a global (target, inv_out, score)
-// sort of terms gathered in an arbitrary entry order; a third repeats that
-// check on keys that vary every byte digit of Prepare's radix sort.
+// pins the extended system's world row bit for bit to a reference built from
+// its definition: per-target sums in ascending page order, divided by alpha_w
+// after the sum; a third repeats that check on extreme out-degrees and scores
+// (signed zeros, subnormals, near-equal values).
 
 #include <algorithm>
 #include <bit>
@@ -277,62 +277,55 @@ TEST(WorldNodeProperty, FlatLayoutMatchesMapReference) {
   ForAll<WorldOpsCase>(0x301d0001, 100, GenerateWorldOpsCase, FlatMatchesReference);
 }
 
-/// The world row of the extended system (Eqs. 8-9) as built before the flat
-/// layout: raw terms gathered in `entry_order`, one global sort by (target,
-/// inv_out, score), then the accumulation of ExtendedSystemCache's world-row
-/// rebuild.
+/// The world row of the extended system (Eqs. 8-9) from its definition:
+/// entries taken in ascending page order, whatever order `entry_order` lists
+/// them in; per local target, the terms (1/out(r)) * alpha(r) summed in that
+/// order and divided by alpha_w after the sum (kUniform: alpha(r) is the
+/// uniform share and nothing is divided); the dangling share added to every
+/// column; then the clamp and the self-loop, columns ascending.
 std::vector<markov::MatrixEntry> ReferenceWorldRow(const graph::Subgraph& fragment,
                                                    const WorldNode& world,
                                                    const std::vector<size_t>& entry_order,
                                                    double denominator, size_t global_size,
                                                    core::WorldLinkWeighting weighting) {
-  struct Term {
-    uint32_t target;
-    double inv_out;
-    double score;
-  };
-  std::vector<Term> terms;
-  for (size_t e : entry_order) {
-    const double inv_out = 1.0 / static_cast<double>(world.out_degrees()[e]);
-    for (PageId target : world.targets(e)) {
-      const graph::Subgraph::LocalIndex t = fragment.LocalIndexOf(target);
-      if (t != graph::Subgraph::kNotLocal) terms.push_back({t, inv_out, world.scores()[e]});
-    }
-  }
-  std::sort(terms.begin(), terms.end(), [](const Term& a, const Term& b) {
-    if (a.target != b.target) return a.target < b.target;
-    if (a.inv_out != b.inv_out) return a.inv_out < b.inv_out;
-    return a.score < b.score;
-  });
-  const size_t n = fragment.NumLocalPages();
+  const bool score_proportional =
+      weighting == core::WorldLinkWeighting::kScoreProportional;
+  std::vector<size_t> by_page = entry_order;
+  std::sort(by_page.begin(), by_page.end(),
+            [&](size_t a, size_t b) { return world.pages()[a] < world.pages()[b]; });
   const double uniform_share =
       world.NumEntries() > 0 ? 1.0 / static_cast<double>(world.NumEntries()) : 0.0;
+  std::map<uint32_t, double> in_mass;
+  for (size_t e : by_page) {
+    const double alpha = score_proportional ? world.scores()[e] : uniform_share;
+    const double term = (1.0 / static_cast<double>(world.out_degrees()[e])) * alpha;
+    for (PageId target : world.targets(e)) {
+      const graph::Subgraph::LocalIndex t = fragment.LocalIndexOf(target);
+      if (t != graph::Subgraph::kNotLocal) in_mass[t] += term;
+    }
+  }
+  const size_t n = fragment.NumLocalPages();
+  const double dangling_mass = world.TotalDanglingScore();
+  const bool dangling = dangling_mass > 0 && n > 0;
+  if (dangling) {
+    for (uint32_t i = 0; i < n; ++i) in_mass.try_emplace(i, 0.0);
+  }
   std::vector<markov::MatrixEntry> row;
   double mass = 0;
-  for (const Term& term : terms) {
-    const double assumed = weighting == core::WorldLinkWeighting::kScoreProportional
-                               ? term.score
-                               : denominator * uniform_share;
-    const double per_target = term.inv_out * (assumed / denominator);
-    row.push_back({term.target, per_target});
-    mass += per_target;
-  }
-  const double dangling_mass = world.TotalDanglingScore();
-  if (dangling_mass > 0 && n > 0) {
-    const double per_page =
-        (dangling_mass / denominator) / static_cast<double>(global_size);
-    for (uint32_t i = 0; i < n; ++i) row.push_back({i, per_page});
-    mass += per_page * static_cast<double>(n);
+  for (const auto& [t, sum] : in_mass) {
+    double weight = score_proportional ? sum / denominator : sum;
+    if (dangling) weight += (dangling_mass / denominator) / static_cast<double>(global_size);
+    row.push_back({t, weight});
+    mass += weight;
   }
   const double scale = mass > 1.0 ? 1.0 / mass : 1.0;
   for (markov::MatrixEntry& e : row) e.weight = e.weight * scale;
   const double self_loop = 1.0 - std::min(mass * scale, 1.0);
   if (self_loop > 0) row.push_back({static_cast<uint32_t>(n), self_loop});
-  markov::SortAndMergeRow(row);
   return row;
 }
 
-CheckResult WorldRowMatchesGlobalSort(const WorldOpsCase& c) {
+CheckResult WorldRowMatchesPageOrderReference(const WorldOpsCase& c) {
   Random rng(c.seed ^ 0x9e3779b9ULL);
   // Fragment: local pages are the target ids [1000, 1000 + num_targets),
   // minus a random few, so some world targets project away.
@@ -351,7 +344,7 @@ CheckResult WorldRowMatchesGlobalSort(const WorldOpsCase& c) {
   OpRunner(c, CombineMode::kAverage).Observations(world, unused, c.num_ops);
   std::vector<size_t> order(world.NumEntries());
   for (size_t e = 0; e < order.size(); ++e) order[e] = e;
-  rng.Shuffle(order);  // Any gathering order, as a hash map would give.
+  rng.Shuffle(order);  // Any gathering order: the reference sorts by page.
 
   const size_t global_size = 2000 + fragment.NumLocalPages();
   for (const auto weighting :
@@ -375,12 +368,12 @@ CheckResult WorldRowMatchesGlobalSort(const WorldOpsCase& c) {
   return std::nullopt;
 }
 
-TEST(WorldNodeProperty, PrepareWorldRowMatchesGlobalTermSort) {
-  ForAll<WorldOpsCase>(0x301d0002, 60, GenerateWorldOpsCase, WorldRowMatchesGlobalSort);
+TEST(WorldNodeProperty, PrepareWorldRowMatchesPageOrderReference) {
+  ForAll<WorldOpsCase>(0x301d0002, 60, GenerateWorldOpsCase, WorldRowMatchesPageOrderReference);
 }
 
-/// A world node whose entry keys stress every byte digit of Prepare's radix
-/// order: extreme out-degrees, signed zeros, subnormal and near-equal scores.
+/// A world node whose entries stress the world row's accumulation: extreme
+/// out-degrees, signed zeros, subnormal and near-equal scores.
 struct WideKeyCase {
   enum Shape { kMixed, kEmpty, kOneEntry, kAllEqual };
   uint64_t seed = 0;
@@ -424,8 +417,8 @@ WideKeyCase GenerateWideKeyCase(uint64_t seed) {
   return c;
 }
 
-/// Out-degrees that vary every byte digit of the key: byte boundaries
-/// (255/256, 65535/65536) and the 32-bit extremes.
+/// Out-degrees at byte boundaries (255/256, 65535/65536) and the 32-bit
+/// extremes.
 constexpr uint32_t kWideDegrees[] = {1, 2, 255, 256, 65535, 65536, 16777216, 0xffffffffu};
 
 /// Scores: signed zeros, subnormals differing only in their lowest byte,
@@ -451,7 +444,7 @@ double WideScore(Random& rng, double cluster) {
   }
 }
 
-CheckResult WorldRowMatchesGlobalSortOnWideKeys(const WideKeyCase& c) {
+CheckResult WorldRowMatchesPageOrderReferenceOnWideKeys(const WideKeyCase& c) {
   Random rng(c.seed);
   // Fragment: local pages [1000, 1000 + num_targets); entries also link to
   // two non-local ids, which project away.
@@ -465,8 +458,7 @@ CheckResult WorldRowMatchesGlobalSortOnWideKeys(const WideKeyCase& c) {
       graph::Subgraph::FromKnowledge(std::move(pages), std::move(successors));
 
   // Entries on distinct pages, so equal (degree, score) pairs land on
-  // different pages; a kAllEqual world repeats one key, so every digit of
-  // the radix sort is skipped.
+  // different pages; a kAllEqual world repeats one (degree, score) pair.
   const uint32_t equal_degree = kWideDegrees[rng.NextBounded(std::size(kWideDegrees))];
   const double cluster = 0.25 + 0.5 * rng.NextDouble();
   const double equal_score = WideScore(rng, cluster);
@@ -485,7 +477,7 @@ CheckResult WorldRowMatchesGlobalSortOnWideKeys(const WideKeyCase& c) {
                    : static_cast<uint32_t>(1 + rng.NextBounded(0xfffffffeULL));
       score = WideScore(rng, cluster);
     } else if (score == 0.0 && rng.NextBool(0.5)) {
-      score = -score;  // Signed zeros key alike.
+      score = -score;  // Signed zeros add alike.
     }
     std::vector<PageId> targets(1 + rng.NextBounded(3));
     for (PageId& t : targets) {
@@ -519,9 +511,9 @@ CheckResult WorldRowMatchesGlobalSortOnWideKeys(const WideKeyCase& c) {
   return std::nullopt;
 }
 
-TEST(WorldNodeProperty, PrepareWorldRowMatchesGlobalTermSortOnWideKeys) {
+TEST(WorldNodeProperty, PrepareWorldRowMatchesPageOrderReferenceOnWideKeys) {
   ForAll<WideKeyCase>(0x301d0003, 200, GenerateWideKeyCase,
-                      WorldRowMatchesGlobalSortOnWideKeys);
+                      WorldRowMatchesPageOrderReferenceOnWideKeys);
 }
 
 }  // namespace
