@@ -73,6 +73,45 @@ void ExtendedSystemCache::RebuildLocalRows(const graph::Subgraph& fragment) {
   local_rows_valid_ = true;
 }
 
+void ExtendedSystemCache::RebuildMergedLocalRows(const graph::SubgraphUnion& merged) {
+  const size_t m = merged.NumPages();
+  const uint32_t world_state = static_cast<uint32_t>(m);
+
+  // The rows RebuildLocalRows would write for Subgraph::Merge(a, b): each
+  // successor is looked up in the two fragments' directories instead of a
+  // merged one, and merged indices follow page order, so the local columns
+  // come out ascending with the world column last.
+  std::vector<uint64_t> offsets;
+  offsets.reserve(m + 2);
+  offsets.push_back(0);
+  std::vector<markov::MatrixEntry> entries;
+  merged.ForEachPage([&](const graph::Subgraph& from, graph::Subgraph::LocalIndex i) {
+    const auto successors = from.Successors(i);
+    // A dangling page keeps an empty row: its mass goes by the dangling vector.
+    if (!successors.empty()) {
+      const double w = 1.0 / static_cast<double>(successors.size());
+      size_t external = 0;
+      for (graph::PageId s : successors) {
+        const graph::Subgraph::LocalIndex j = merged.IndexOf(s);
+        if (j == graph::Subgraph::kNotLocal) {
+          ++external;
+        } else {
+          entries.push_back({j, w});
+        }
+      }
+      if (external > 0) {
+        entries.push_back({world_state, w * static_cast<double>(external)});
+      }
+    }
+    offsets.push_back(entries.size());
+  });
+  offsets.push_back(entries.size());
+  system_.matrix = markov::SparseMatrix::FromCsr(std::move(offsets), std::move(entries));
+  num_local_ = m;
+  // The rows describe no fragment a later Prepare could reuse.
+  local_rows_valid_ = false;
+}
+
 void ExtendedSystemCache::RebuildWorldRow(double denominator) {
   JXP_CHECK_GT(denominator, 0.0);
   const uint32_t world_state = static_cast<uint32_t>(num_local_);
@@ -82,15 +121,16 @@ void ExtendedSystemCache::RebuildWorldRow(double denominator) {
   // scores already are shares of alpha_w). Known external dangling pages
   // link (by the uniform-redistribution convention) to every page, so their
   // aggregated score mass adds 1/N of itself to every local column.
-  const bool dangling = dangling_mass_ > 0 && num_local_ > 0;
+  const bool dangling = world_in_.dangling > 0 && num_local_ > 0;
   const double per_page =
-      dangling ? (dangling_mass_ / denominator) / static_cast<double>(global_size_) : 0.0;
+      dangling ? (world_in_.dangling / denominator) / static_cast<double>(global_size_)
+               : 0.0;
   const bool score_proportional = weighting_ == WorldLinkWeighting::kScoreProportional;
   world_row_.clear();
   double world_out_mass = 0;
   for (uint32_t t = 0; t < num_local_; ++t) {
-    if (!linked_[t] && !dangling) continue;
-    const double in = score_proportional ? world_in_[t] / denominator : world_in_[t];
+    if (!world_in_.linked[t] && !dangling) continue;
+    const double in = score_proportional ? world_in_.in[t] / denominator : world_in_.in[t];
     const double weight = in + per_page;
     world_row_.push_back({t, weight});
     world_out_mass += weight;
@@ -119,9 +159,6 @@ const ExtendedGraphSystem& ExtendedSystemCache::Prepare(const graph::Subgraph& f
   std::optional<ThreadCpuTimer> timer;
   if (obs::Enabled()) timer.emplace();
   const size_t n = fragment.NumLocalPages();
-  JXP_CHECK_GE(global_size, n) << "global size estimate below local page count";
-  JXP_CHECK_GT(world_score, 0.0);
-
   if (!local_rows_valid_ || num_local_ != n) {
     GetCacheMetrics().misses.Increment();
     RebuildLocalRows(fragment);
@@ -130,25 +167,45 @@ const ExtendedGraphSystem& ExtendedSystemCache::Prepare(const graph::Subgraph& f
   }
 
   // One pass over the world node in page order: every entry adds
-  // (1/out(r)) * alpha(r) to the in-mass of each of its local targets. The
-  // page order fixes each target's summation order, so the in-mass is a
-  // function of the world node's content alone.
+  // (1/out(r)) * alpha(r) to the in-mass of each of its local targets.
   const double uniform_share =
       world.NumEntries() > 0 ? 1.0 / static_cast<double>(world.NumEntries()) : 0.0;
-  world_in_.assign(n, 0.0);
-  linked_.assign(n, 0);
+  world_in_.Reset(n);
   for (size_t e = 0; e < world.NumEntries(); ++e) {
     const double alpha =
         weighting == WorldLinkWeighting::kScoreProportional ? world.scores()[e] : uniform_share;
     const double term = (1.0 / static_cast<double>(world.out_degrees()[e])) * alpha;
     for (graph::PageId target : world.targets(e)) {
       const graph::Subgraph::LocalIndex t = fragment.LocalIndexOf(target);
-      if (t == graph::Subgraph::kNotLocal) continue;  // Target projected away.
-      world_in_[t] += term;
-      linked_[t] = 1;
+      if (t != graph::Subgraph::kNotLocal) world_in_.Add(t, term);  // Else projected away.
     }
   }
-  dangling_mass_ = world.TotalDanglingScore();
+  world_in_.dangling = world.TotalDanglingScore();
+  FinishPrepare(world_score, global_size, weighting);
+  if (timer.has_value()) GetCacheMetrics().prepare_ms.Observe(timer->ElapsedMillis());
+  return system_;
+}
+
+const ExtendedGraphSystem& ExtendedSystemCache::PrepareMerged(
+    const graph::SubgraphUnion& merged, WorldInMass world_in, double world_score,
+    size_t global_size, WorldLinkWeighting weighting) {
+  std::optional<ThreadCpuTimer> timer;
+  if (obs::Enabled()) timer.emplace();
+  JXP_CHECK_EQ(world_in.in.size(), merged.NumPages());
+  JXP_CHECK_EQ(world_in.linked.size(), merged.NumPages());
+  GetCacheMetrics().misses.Increment();
+  RebuildMergedLocalRows(merged);
+  world_in_ = std::move(world_in);
+  FinishPrepare(world_score, global_size, weighting);
+  if (timer.has_value()) GetCacheMetrics().prepare_ms.Observe(timer->ElapsedMillis());
+  return system_;
+}
+
+void ExtendedSystemCache::FinishPrepare(double world_score, size_t global_size,
+                                        WorldLinkWeighting weighting) {
+  const size_t n = num_local_;
+  JXP_CHECK_GE(global_size, n) << "global size estimate below local page count";
+  JXP_CHECK_GT(world_score, 0.0);
   global_size_ = global_size;
   weighting_ = weighting;
 
@@ -164,12 +221,10 @@ const ExtendedGraphSystem& ExtendedSystemCache::Prepare(const graph::Subgraph& f
 
   RebuildWorldRow(world_score);
   prepared_ = true;
-  if (timer.has_value()) GetCacheMetrics().prepare_ms.Observe(timer->ElapsedMillis());
-  return system_;
 }
 
 const ExtendedGraphSystem& ExtendedSystemCache::Rescale(double world_score) {
-  JXP_CHECK(prepared_ && local_rows_valid_) << "Rescale before Prepare";
+  JXP_CHECK(prepared_) << "Rescale before Prepare";
   GetCacheMetrics().rescales.Increment();
   RebuildWorldRow(world_score);
   return system_;

@@ -42,6 +42,32 @@ struct ExtendedGraphSystem {
   bool world_row_clamped = false;
 };
 
+/// The world node's input to the world row (Eqs. 8-9). `in[t]` is the sum of
+/// (1/out(r)) * alpha(r) over the world entries r linking to local state t,
+/// added in ascending page order of r (alpha(r) is the uniform share under
+/// kUniform); `linked[t]` marks the states with at least one such entry; and
+/// `dangling` is the known external dangling pages' score mass, summed in
+/// page order. The page order fixes every sum, so the input is a function of
+/// the world node's content alone.
+struct WorldInMass {
+  std::vector<double> in;
+  std::vector<uint8_t> linked;
+  double dangling = 0;
+
+  /// Zeroes the input of `num_local` states.
+  void Reset(size_t num_local) {
+    in.assign(num_local, 0.0);
+    linked.assign(num_local, 0);
+    dangling = 0;
+  }
+
+  /// One entry's term for one of its local targets.
+  void Add(uint32_t t, double term) {
+    in[t] += term;
+    linked[t] = 1;
+  }
+};
+
 /// Incremental builder of ExtendedGraphSystem, exploiting that only the
 /// world row depends on the denominator alpha_w and on the (per-meeting)
 /// world-node scores, while the local rows depend on the fragment alone:
@@ -75,9 +101,20 @@ class ExtendedSystemCache {
                                      const WorldNode& world, double world_score,
                                      size_t global_size, WorldLinkWeighting weighting);
 
+  /// The full merge's system (Algorithm 2) over G_M = V_a ∪ V_b, without
+  /// building G_M: the local rows come straight from the two fragments'
+  /// successor lists (a shared page keeps `a`'s, as in Subgraph::Merge), and
+  /// the world row from `world_in`, which the caller accumulated over
+  /// merged.NumPages() states in W_M's page order. The system is
+  /// bit-identical to Prepare(Subgraph::Merge(a, b), W_M, ...); its local
+  /// rows describe no fragment, so a later Prepare rebuilds them.
+  const ExtendedGraphSystem& PrepareMerged(const graph::SubgraphUnion& merged,
+                                           WorldInMass world_in, double world_score,
+                                           size_t global_size, WorldLinkWeighting weighting);
+
   /// Regenerates the world row for a new denominator, keeping the local
   /// rows, the per-target in-mass, and the teleport/dangling vectors of the
-  /// last Prepare. Only valid after a Prepare.
+  /// last Prepare or PrepareMerged. Only valid after one of them.
   const ExtendedGraphSystem& Rescale(double world_score);
 
   /// Drops the cached local rows; the next Prepare rebuilds them. Must be
@@ -104,6 +141,10 @@ class ExtendedSystemCache {
 
  private:
   void RebuildLocalRows(const graph::Subgraph& fragment);
+  void RebuildMergedLocalRows(const graph::SubgraphUnion& merged);
+  /// The tail both Prepares share: teleport / dangling vectors and the
+  /// world row for `num_local_` states from `world_in_`.
+  void FinishPrepare(double world_score, size_t global_size, WorldLinkWeighting weighting);
   void RebuildWorldRow(double denominator);
 
   bool local_rows_valid_ = false;
@@ -111,13 +152,8 @@ class ExtendedSystemCache {
   size_t num_local_ = 0;
   size_t global_size_ = 0;
   WorldLinkWeighting weighting_ = WorldLinkWeighting::kScoreProportional;
-  double dangling_mass_ = 0;
-  /// Per local target t: the sum, in world-node page order, of
-  /// (1/out(r)) * alpha(r) over the entries r linking to t (alpha(r) is the
-  /// uniform share under kUniform); `linked_` marks the targets with at
-  /// least one such entry, the world row's columns besides the dangling ones.
-  std::vector<double> world_in_;
-  std::vector<uint8_t> linked_;
+  /// The world row's input; `linked` and the dangling mass fix its columns.
+  WorldInMass world_in_;
   std::vector<markov::MatrixEntry> world_row_;  // Scratch, reused per rebuild.
   ExtendedGraphSystem system_;
 };

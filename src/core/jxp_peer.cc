@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <span>
+#include <utility>
 
 #include "common/timer.h"
 #include "core/extended_graph.h"
@@ -34,6 +36,8 @@ struct MeetingMetrics {
       "jxp.merge.pr_iterations", {1, 2, 5, 10, 20, 50, 100, 200, 500});
   obs::Histogram world_update_ms = obs::MetricsRegistry::Global().GetHistogram(
       "jxp.merge.world_update_ms", {0.01, 0.03, 0.1, 0.3, 1, 3, 10, 30, 100});
+  obs::Histogram solve_ms = obs::MetricsRegistry::Global().GetHistogram(
+      "jxp.merge.solve_ms", {0.01, 0.03, 0.1, 0.3, 1, 3, 10, 30, 100});
   /// Measured-wire-mode observables: per-message encoded size, analytic /
   /// measured compression ratio (both deterministic), and codec CPU.
   obs::Histogram wire_message_bytes = obs::MetricsRegistry::Global().GetHistogram(
@@ -126,6 +130,84 @@ WorldNode PagesAsWorld(const graph::Subgraph& sender, const graph::Subgraph& fra
   }
   return world;
 }
+
+/// Index of a page a list lacks, in ForEachPageInOrder.
+constexpr size_t kAbsent = static_cast<size_t>(-1);
+
+/// Visits every page of three ascending page lists once, in page order, as
+/// visit(page, i, j, k) with the page's index in `a`, `b` and `c`, or
+/// kAbsent where a list lacks it.
+template <typename Visit>
+void ForEachPageInOrder(std::span<const graph::PageId> a, std::span<const graph::PageId> b,
+                        std::span<const graph::PageId> c, Visit visit) {
+  constexpr uint64_t kEnd = uint64_t{1} << 32;  // Past every page id.
+  size_t i = 0;
+  size_t j = 0;
+  size_t k = 0;
+  while (i < a.size() || j < b.size() || k < c.size()) {
+    const uint64_t pa = i < a.size() ? a[i] : kEnd;
+    const uint64_t pb = j < b.size() ? b[j] : kEnd;
+    const uint64_t pc = k < c.size() ? c[k] : kEnd;
+    const uint64_t page = std::min({pa, pb, pc});
+    visit(static_cast<graph::PageId>(page), pa == page ? i++ : kAbsent,
+          pb == page ? j++ : kAbsent, pc == page ? k++ : kAbsent);
+  }
+}
+
+/// Calls visit(t) for each page of the union of two ascending lists, once
+/// and in ascending order.
+template <typename Visit>
+void ForEachInUnion(std::span<const graph::PageId> a, std::span<const graph::PageId> b,
+                    Visit visit) {
+  size_t i = 0;
+  size_t j = 0;
+  while (i < a.size() || j < b.size()) {
+    if (j == b.size() || (i < a.size() && a[i] < b[j])) {
+      visit(a[i++]);
+    } else if (i == a.size() || b[j] < a[i]) {
+      visit(b[j++]);
+    } else {
+      visit(a[i++]);
+      ++j;
+    }
+  }
+}
+
+/// A world node under construction, as the arrays WorldNode::FromArrays
+/// adopts; its scores stay writable until Build.
+struct WorldArrays {
+  std::vector<graph::PageId> pages;
+  std::vector<uint32_t> out_degrees;
+  std::vector<double> scores;
+  std::vector<uint32_t> target_offsets = {0};
+  std::vector<graph::PageId> targets;
+  std::vector<graph::PageId> dangling_pages;
+  std::vector<double> dangling_scores;
+
+  void Reserve(size_t entries, size_t links, size_t dangling) {
+    pages.reserve(entries);
+    out_degrees.reserve(entries);
+    scores.reserve(entries);
+    target_offsets.reserve(entries + 1);
+    targets.reserve(links);
+    dangling_pages.reserve(dangling);
+    dangling_scores.reserve(dangling);
+  }
+
+  /// Closes an entry for `page` over the targets appended since the last.
+  void EndEntry(graph::PageId page, uint32_t out_degree, double score) {
+    pages.push_back(page);
+    out_degrees.push_back(out_degree);
+    scores.push_back(score);
+    target_offsets.push_back(static_cast<uint32_t>(targets.size()));
+  }
+
+  WorldNode Build() && {
+    return WorldNode::FromArrays(std::move(pages), std::move(out_degrees), std::move(scores),
+                                 std::move(target_offsets), std::move(targets),
+                                 std::move(dangling_pages), std::move(dangling_scores));
+  }
+};
 
 const WorldNode& EmptyWorld() {
   static const WorldNode empty;
@@ -588,6 +670,7 @@ double JxpPeer::ProcessMeeting(const PeerView& partner) {
     page_sketch_.UnionWith(*partner.page_sketch);
     RefreshGlobalSizeEstimate();
   }
+  solve_millis_ = 0;
   if (options_.merge_mode == MergeMode::kLightWeight) {
     ProcessLightWeight(partner);
   } else {
@@ -601,6 +684,7 @@ double JxpPeer::ProcessMeeting(const PeerView& partner) {
     MeetingMetrics& metrics = GetMeetingMetrics();
     metrics.merges.Increment();
     metrics.merge_cpu_ms.Observe(millis);
+    metrics.solve_ms.Observe(solve_millis_);
     metrics.pr_iterations.Observe(last_pr_iterations_);
   }
   if (span.active()) {
@@ -676,41 +760,123 @@ void JxpPeer::ProcessLightWeight(const PeerView& partner) {
 }
 
 void JxpPeer::ProcessFullMerge(const PeerView& partner) {
-  std::optional<ThreadCpuTimer> world_timer;
-  if (obs::Enabled()) world_timer.emplace();
   const graph::Subgraph& other = *partner.fragment;
+  const WorldNode& theirs = *partner.world;
   // Merged graph G_M = union of the two fragments with full out-link
-  // knowledge; merged score list L_M combines overlapping pages.
-  std::vector<graph::Subgraph::LocalIndex> mine_in_merged;
-  std::vector<graph::Subgraph::LocalIndex> theirs_in_merged;
-  graph::Subgraph merged =
-      graph::Subgraph::Merge(fragment_, other, &mine_in_merged, &theirs_in_merged);
-  const size_t m = merged.NumLocalPages();
+  // knowledge, addressed by merged index without being built; merged score
+  // list L_M combines overlapping pages.
+  const graph::SubgraphUnion merged(fragment_, other);
+  const auto mine_in_merged = merged.a_index();
+  const auto theirs_in_merged = merged.b_index();
+  const size_t m = merged.NumPages();
   std::vector<double> merged_scores(m, 0.0);
   for (graph::Subgraph::LocalIndex i = 0; i < fragment_.NumLocalPages(); ++i) {
     merged_scores[mine_in_merged[i]] = scores_[i];
   }
-  // Both index maps ascend, so one cursor over ours finds the shared pages.
-  size_t cursor = 0;
   for (graph::Subgraph::LocalIndex k = 0; k < other.NumLocalPages(); ++k) {
     const graph::Subgraph::LocalIndex mi = theirs_in_merged[k];
-    while (cursor < mine_in_merged.size() && mine_in_merged[cursor] < mi) ++cursor;
-    if (cursor < mine_in_merged.size() && mine_in_merged[cursor] == mi) {
-      merged_scores[mi] =
-          CombineScores(options_.combine_mode, merged_scores[mi], partner.scores[k]);
-    } else {
-      merged_scores[mi] = partner.scores[k];
-    }
+    merged_scores[mi] =
+        merged.InA(mi) ? CombineScores(options_.combine_mode, merged_scores[mi], partner.scores[k])
+                       : partner.scores[k];
   }
 
-  // Merged world node W_M: union of both world nodes minus links that became
-  // explicit in G_M (paper: T_M = (T_A ∪ T_B) − E_M; entries whose source
-  // page is itself in V_M are dropped because those links are now edges).
-  WorldNode merged_world = WorldNode::Union(world_, *partner.world, options_.combine_mode,
-                                            /*authoritative=*/false, merged.Pages());
-  if (world_timer.has_value()) {
-    GetMeetingMetrics().world_update_ms.Observe(world_timer->ElapsedMillis());
+  // Merged world node W_M: the union of both world nodes minus the pages of
+  // G_M (paper: T_M = (T_A ∪ T_B) − E_M; entries whose source page is in V_M
+  // are dropped because those links are now edges). It is never built: one
+  // page-order pass over W_A, W_B and the partner's pages feeds each W_M
+  // entry to the merged system's world input and, projected onto V_A, to
+  // the new world node, beside the partner's pages outside V_A (E_B links
+  // into V_A) whose merged PR scores the solve fills in. Page order is the
+  // order Prepare sums W_M in, so every float sum is unchanged.
+  std::optional<ThreadCpuTimer> world_timer;
+  if (obs::Enabled()) world_timer.emplace();
+  const WorldLinkWeighting weighting = options_.uniform_world_links
+                                           ? WorldLinkWeighting::kUniform
+                                           : WorldLinkWeighting::kScoreProportional;
+  // Under kUniform every W_M entry carries 1/|W_M|, so count W_M first.
+  size_t num_merged_entries = 0;
+  if (weighting == WorldLinkWeighting::kUniform) {
+    ForEachPageInOrder(world_.pages(), theirs.pages(), {},
+                       [&](graph::PageId page, size_t, size_t, size_t) {
+                         if (merged.IndexOf(page) == graph::Subgraph::kNotLocal) {
+                           ++num_merged_entries;
+                         }
+                       });
   }
+  const double uniform_share =
+      num_merged_entries > 0 ? 1.0 / static_cast<double>(num_merged_entries) : 0.0;
+  WorldInMass world_in;
+  world_in.Reset(m);
+  WorldArrays next;
+  next.Reserve(world_.NumEntries() + other.NumLocalPages(),
+               world_.NumLinks() + other.NumLocalEdges(),
+               world_.dangling_pages().size() + other.NumLocalPages());
+  // (position in `next`, partner local index) of the partner's pages.
+  std::vector<std::pair<size_t, graph::Subgraph::LocalIndex>> partner_entries;
+  std::vector<std::pair<size_t, graph::Subgraph::LocalIndex>> partner_dangling;
+  ForEachPageInOrder(
+      world_.pages(), theirs.pages(), other.Pages(),
+      [&](graph::PageId page, size_t i, size_t j, size_t k) {
+        if (k != kAbsent) {
+          // A page of G_M: a world entry on it became explicit edges.
+          if (merged.InA(theirs_in_merged[k]) || other.GlobalOutDegree(k) == 0) return;
+          const size_t first = next.targets.size();
+          for (graph::PageId t : other.Successors(k)) {
+            const graph::Subgraph::LocalIndex mi = merged.IndexOf(t);
+            if (mi != graph::Subgraph::kNotLocal && merged.InA(mi)) next.targets.push_back(t);
+          }
+          if (next.targets.size() == first) return;
+          partner_entries.emplace_back(next.pages.size(), k);
+          next.EndEntry(page, static_cast<uint32_t>(other.GlobalOutDegree(k)), 0.0);
+          return;
+        }
+        if (merged.IndexOf(page) != graph::Subgraph::kNotLocal) return;  // In V_A.
+        const bool both = i != kAbsent && j != kAbsent;
+        if (both) {
+          JXP_CHECK_EQ(world_.out_degrees()[i], theirs.out_degrees()[j])
+              << "conflicting out-degree reports for page " << page;
+        }
+        const uint32_t out_degree =
+            i != kAbsent ? world_.out_degrees()[i] : theirs.out_degrees()[j];
+        const double score =
+            both ? CombineScores(options_.combine_mode, world_.scores()[i], theirs.scores()[j])
+                 : (i != kAbsent ? world_.scores()[i] : theirs.scores()[j]);
+        const double alpha =
+            weighting == WorldLinkWeighting::kUniform ? uniform_share : score;
+        const double term = (1.0 / static_cast<double>(out_degree)) * alpha;
+        const size_t first = next.targets.size();
+        const auto link = [&](graph::PageId t) {
+          const graph::Subgraph::LocalIndex mi = merged.IndexOf(t);
+          if (mi == graph::Subgraph::kNotLocal) return;
+          world_in.Add(mi, term);
+          if (merged.InA(mi)) next.targets.push_back(t);
+        };
+        ForEachInUnion(i != kAbsent ? world_.targets(i) : std::span<const graph::PageId>(),
+                       j != kAbsent ? theirs.targets(j) : std::span<const graph::PageId>(),
+                       link);
+        if (next.targets.size() > first) next.EndEntry(page, out_degree, score);
+      });
+  ForEachPageInOrder(
+      world_.dangling_pages(), theirs.dangling_pages(), other.Pages(),
+      [&](graph::PageId page, size_t i, size_t j, size_t k) {
+        if (k != kAbsent) {
+          if (merged.InA(theirs_in_merged[k]) || other.GlobalOutDegree(k) != 0) return;
+          partner_dangling.emplace_back(next.dangling_pages.size(), k);
+          next.dangling_pages.push_back(page);
+          next.dangling_scores.push_back(0.0);
+          return;
+        }
+        if (merged.IndexOf(page) != graph::Subgraph::kNotLocal) return;
+        const double score =
+            i != kAbsent && j != kAbsent
+                ? CombineScores(options_.combine_mode, world_.dangling_scores()[i],
+                                theirs.dangling_scores()[j])
+                : (i != kAbsent ? world_.dangling_scores()[i] : theirs.dangling_scores()[j]);
+        world_in.dangling += score;
+        next.dangling_pages.push_back(page);
+        next.dangling_scores.push_back(score);
+      });
+  double world_millis = world_timer.has_value() ? world_timer->ElapsedMillis() : 0.0;
 
   // World-node score per Eq. 1, then PageRank on G_M + W_M, with the same
   // self-consistent-denominator guard as RunLocalPageRank.
@@ -725,15 +891,14 @@ void JxpPeer::ProcessFullMerge(const PeerView& partner) {
   pi_options.max_iterations = options_.pr_max_iterations;
   markov::PowerIterationResult result;
   int total_iterations = 0;
-  // The merged graph lives only for this meeting, but the guard loop below
-  // still reuses its local rows: only the world row is regenerated per
-  // denominator.
+  // The merged system lives only for this meeting; the guard loop below
+  // regenerates only its world row per denominator.
   ExtendedSystemCache merged_cache;
   const ExtendedGraphSystem* system =
-      &merged_cache.Prepare(merged, merged_world, denominator, global_size_,
-                            options_.uniform_world_links
-                                ? WorldLinkWeighting::kUniform
-                                : WorldLinkWeighting::kScoreProportional);
+      &merged_cache.PrepareMerged(merged, std::move(world_in), denominator, global_size_,
+                                   weighting);
+  std::optional<ThreadCpuTimer> solve_timer;
+  if (obs::Enabled()) solve_timer.emplace();
   for (int guard = 0; guard < 64; ++guard) {
     ever_clamped_world_row_ |= system->world_row_clamped;
     result = StationaryDistribution(system->matrix, system->teleport, system->dangling,
@@ -744,29 +909,35 @@ void JxpPeer::ProcessFullMerge(const PeerView& partner) {
     init = result.distribution;
     system = &merged_cache.Rescale(denominator);
   }
+  if (solve_timer.has_value()) solve_millis_ += solve_timer->ElapsedMillis();
   last_pr_iterations_ = total_iterations;
   const double pr_world = result.distribution[m];
-  // Score update: Eq. 2 re-weights external (world-node) scores in the
-  // baseline mode; Eq. 3 leaves them unchanged in take-max mode.
-  if (options_.combine_mode == CombineMode::kAverage) {
-    merged_world.ScaleScores(pr_world / denominator);
-  }
 
   // Project back onto our fragment (the disconnect step of Figure 1):
   // local scores from the merged result ...
   for (graph::Subgraph::LocalIndex i = 0; i < fragment_.NumLocalPages(); ++i) {
     scores_[i] = result.distribution[mine_in_merged[i]];
   }
-  // ... and a new world node: W_M's links into V_A, plus the partner's pages
-  // (E_B links) that point into V_A, now valued at their merged PR scores.
-  // The two are disjoint: W_M holds no page of G_M.
-  merged_world.Retain([](graph::PageId) { return true; },
-                      [this](graph::PageId t) { return fragment_.Contains(t); });
-  const auto merged_score = [&](graph::Subgraph::LocalIndex k) {
-    return result.distribution[theirs_in_merged[k]];
-  };
-  world_ = WorldNode::Union(merged_world, PagesAsWorld(other, fragment_, merged_score),
-                            options_.combine_mode, options_.authoritative_refresh);
+  // ... and the new world node's scores. Eq. 2 re-weights W_M's external
+  // scores in the baseline mode (Eq. 3 leaves them unchanged in take-max
+  // mode); the partner's pages take their merged PR scores.
+  if (world_timer.has_value()) world_timer->Reset();
+  if (options_.combine_mode == CombineMode::kAverage) {
+    const double factor = pr_world / denominator;
+    for (double& score : next.scores) score *= factor;
+    for (double& score : next.dangling_scores) score *= factor;
+  }
+  for (const auto& [e, k] : partner_entries) {
+    next.scores[e] = result.distribution[theirs_in_merged[k]];
+  }
+  for (const auto& [d, k] : partner_dangling) {
+    next.dangling_scores[d] = result.distribution[theirs_in_merged[k]];
+  }
+  world_ = std::move(next).Build();
+  if (world_timer.has_value()) {
+    world_millis += world_timer->ElapsedMillis();
+    GetMeetingMetrics().world_update_ms.Observe(world_millis);
+  }
   // The world node again represents *everything* outside V_A (including the
   // partner's pages), so its score is the complement of the local mass.
   double my_mass = 0;
@@ -818,6 +989,8 @@ void JxpPeer::RunLocalPageRankFull() {
                                options_.uniform_world_links
                                    ? WorldLinkWeighting::kUniform
                                    : WorldLinkWeighting::kScoreProportional);
+  std::optional<ThreadCpuTimer> solve_timer;
+  if (obs::Enabled()) solve_timer.emplace();
   for (int guard = 0; guard < 64; ++guard) {
     ever_clamped_world_row_ |= system->world_row_clamped;
     result = StationaryDistribution(system->matrix, system->teleport, system->dangling,
@@ -831,6 +1004,7 @@ void JxpPeer::RunLocalPageRankFull() {
     init = result.distribution;  // Warm start for the re-run.
     system = &extended_cache_.Rescale(denominator);
   }
+  if (solve_timer.has_value()) solve_millis_ += solve_timer->ElapsedMillis();
   last_pr_iterations_ = total_iterations;
   ++incremental_stats_.full_solves;
   incremental_stats_.full_iterations += static_cast<size_t>(total_iterations);
@@ -920,6 +1094,8 @@ void JxpPeer::RunLocalPageRankIncremental() {
     size_t total_pushes = 0;
     size_t total_touched = 0;
     bool converged = true;
+    std::optional<ThreadCpuTimer> solve_timer;
+    if (obs::Enabled()) solve_timer.emplace();
     // Same self-consistent-denominator guard as the full path: when the
     // solved world score exceeds the denominator the world row was weighted
     // with, re-weight the row at the larger value and repair by pushes.
@@ -942,6 +1118,7 @@ void JxpPeer::RunLocalPageRankIncremental() {
       ever_clamped_world_row_ |= system->world_row_clamped;
       incremental_.UpdateRow(system->matrix, world_state, old_row, old_row_sum);
     }
+    if (solve_timer.has_value()) solve_millis_ += solve_timer->ElapsedMillis();
     if (converged) {
       const std::span<const double> x = incremental_.solution();
       const double pr_world = x[world_state];

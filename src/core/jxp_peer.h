@@ -338,6 +338,9 @@ class JxpPeer {
   std::vector<double> meeting_cpu_millis_;
   std::vector<double> world_score_history_;
   int last_pr_iterations_ = 0;
+  /// Thread CPU of the current meeting's guard-loop solves, summed while
+  /// telemetry is enabled (the jxp.merge.solve_ms observation).
+  double solve_millis_ = 0;
   bool ever_clamped_world_row_ = false;
   synopses::HashSketch page_sketch_;
   /// Cached extended-system CSR: the local rows survive across meetings

@@ -15,14 +15,6 @@ double Combine(CombineMode mode, double existing, double incoming) {
                                        : 0.5 * (existing + incoming);
 }
 
-/// Advances `cursor` through the sorted `excluded` list and reports whether
-/// `page` is in it. Callers ask with ascending pages, so a whole merge walks
-/// the list once.
-bool Excluded(std::span<const graph::PageId> excluded, size_t& cursor, graph::PageId page) {
-  while (cursor < excluded.size() && excluded[cursor] < page) ++cursor;
-  return cursor < excluded.size() && excluded[cursor] == page;
-}
-
 }  // namespace
 
 void WorldNode::AppendEntry(graph::PageId page, uint32_t out_degree, double score,
@@ -71,8 +63,7 @@ WorldNode WorldNode::FromArrays(std::vector<graph::PageId> pages,
 }
 
 WorldNode WorldNode::Union(const WorldNode& base, const WorldNode& incoming,
-                           CombineMode mode, bool authoritative,
-                           std::span<const graph::PageId> excluded) {
+                           CombineMode mode, bool authoritative) {
   WorldNode out;
   out.pages_.reserve(base.pages_.size() + incoming.pages_.size());
   out.out_degrees_.reserve(out.pages_.capacity());
@@ -88,7 +79,6 @@ WorldNode WorldNode::Union(const WorldNode& base, const WorldNode& incoming,
     out.target_offsets_.push_back(static_cast<uint32_t>(out.targets_.size()));
   };
 
-  size_t cursor = 0;
   size_t i = 0;
   size_t j = 0;
   while (i < base.pages_.size() || j < incoming.pages_.size()) {
@@ -98,36 +88,31 @@ WorldNode WorldNode::Union(const WorldNode& base, const WorldNode& incoming,
                                (j < incoming.pages_.size() &&
                                 incoming.pages_[j] < base.pages_[i]);
     if (take_base) {
-      if (!Excluded(excluded, cursor, base.pages_[i])) copy(base, i, base.scores_[i]);
+      copy(base, i, base.scores_[i]);
       ++i;
     } else if (take_incoming) {
-      if (!Excluded(excluded, cursor, incoming.pages_[j])) {
-        copy(incoming, j, incoming.scores_[j]);
-      }
+      copy(incoming, j, incoming.scores_[j]);
       ++j;
     } else {
       const graph::PageId page = base.pages_[i];
-      if (!Excluded(excluded, cursor, page)) {
-        JXP_CHECK_EQ(base.out_degrees_[i], incoming.out_degrees_[j])
-            << "conflicting out-degree reports for page " << page;
-        out.pages_.push_back(page);
-        out.out_degrees_.push_back(base.out_degrees_[i]);
-        const double base_score = base.scores_[i];
-        const double incoming_score = incoming.scores_[j];
-        out.scores_.push_back(authoritative ? incoming_score
-                                            : Combine(mode, base_score, incoming_score));
-        const auto a = base.targets(i);
-        const auto b = incoming.targets(j);
-        std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                       std::back_inserter(out.targets_));
-        out.target_offsets_.push_back(static_cast<uint32_t>(out.targets_.size()));
-      }
+      JXP_CHECK_EQ(base.out_degrees_[i], incoming.out_degrees_[j])
+          << "conflicting out-degree reports for page " << page;
+      out.pages_.push_back(page);
+      out.out_degrees_.push_back(base.out_degrees_[i]);
+      const double base_score = base.scores_[i];
+      const double incoming_score = incoming.scores_[j];
+      out.scores_.push_back(authoritative ? incoming_score
+                                          : Combine(mode, base_score, incoming_score));
+      const auto a = base.targets(i);
+      const auto b = incoming.targets(j);
+      std::set_union(a.begin(), a.end(), b.begin(), b.end(),
+                     std::back_inserter(out.targets_));
+      out.target_offsets_.push_back(static_cast<uint32_t>(out.targets_.size()));
       ++i;
       ++j;
     }
   }
 
-  cursor = 0;
   i = 0;
   j = 0;
   const auto& base_pages = base.dangling_pages_;
@@ -152,7 +137,6 @@ WorldNode WorldNode::Union(const WorldNode& base, const WorldNode& incoming,
       ++i;
       ++j;
     }
-    if (Excluded(excluded, cursor, page)) continue;
     out.dangling_pages_.push_back(page);
     out.dangling_scores_.push_back(score);
   }

@@ -69,12 +69,10 @@ class WorldNode {
                               std::vector<graph::PageId> dangling_pages,
                               std::vector<double> dangling_scores);
 
-  /// The union of `base` and `incoming`, skipping every page listed in
-  /// `excluded` (sorted ascending). A page present on both sides must report
-  /// the same out-degree; its targets are unioned and its score is
+  /// The union of `base` and `incoming`. A page present on both sides must
+  /// report the same out-degree; its targets are unioned and its score is
   /// `incoming`'s when `authoritative`, else the `mode` combination of
-  /// base's and incoming's (in that order). O(|base| + |incoming| +
-  /// |excluded|).
+  /// base's and incoming's (in that order). O(|base| + |incoming|).
   ///
   /// `authoritative` marks reports from a peer hosting the page *locally*
   /// (or from this peer's own crawl of it): such a report carries the page's
@@ -84,8 +82,7 @@ class WorldNode {
   /// transient overestimates after re-crawls and churn, which take-max would
   /// otherwise keep alive forever.
   static WorldNode Union(const WorldNode& base, const WorldNode& incoming,
-                         CombineMode mode, bool authoritative,
-                         std::span<const graph::PageId> excluded = {});
+                         CombineMode mode, bool authoritative);
 
   /// Folds `incoming` into this node: *this = Union(*this, incoming, ...).
   void Merge(const WorldNode& incoming, CombineMode mode, bool authoritative = false);

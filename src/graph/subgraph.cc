@@ -78,40 +78,49 @@ Subgraph Subgraph::FromSortedCsr(std::vector<PageId> pages,
 Subgraph Subgraph::Merge(const Subgraph& a, const Subgraph& b,
                          std::vector<LocalIndex>* a_index,
                          std::vector<LocalIndex>* b_index) {
-  const size_t na = a.NumLocalPages();
-  const size_t nb = b.NumLocalPages();
-  if (a_index != nullptr) a_index->resize(na);
-  if (b_index != nullptr) b_index->resize(nb);
+  const SubgraphUnion pages(a, b);
   Subgraph sg;
-  sg.pages_.reserve(na + nb);
-  sg.succ_offsets_.reserve(na + nb + 1);
+  sg.pages_.reserve(pages.NumPages());
+  sg.succ_offsets_.reserve(pages.NumPages() + 1);
   sg.succ_.reserve(a.succ_.size() + b.succ_.size());
-  // Appends page `i` of `from` with its successor list; returns its index.
-  const auto append = [&sg](const Subgraph& from, size_t i) {
-    const auto succ = from.Successors(static_cast<LocalIndex>(i));
+  pages.ForEachPage([&sg](const Subgraph& from, LocalIndex i) {
+    const auto succ = from.Successors(i);
     sg.pages_.push_back(from.pages_[i]);
     sg.succ_.insert(sg.succ_.end(), succ.begin(), succ.end());
     sg.succ_offsets_.push_back(sg.succ_.size());
-    return static_cast<LocalIndex>(sg.pages_.size() - 1);
-  };
-  size_t i = 0;
-  size_t k = 0;
-  while (i < na || k < nb) {
-    const bool take_a = k == nb || (i < na && a.pages_[i] <= b.pages_[k]);
-    const bool take_b = i == na || (k < nb && b.pages_[k] <= a.pages_[i]);
-    // A shared page (both true) keeps a's knowledge, identical by construction.
-    const LocalIndex merged = take_a ? append(a, i) : append(b, k);
-    if (take_a) {
-      if (a_index != nullptr) (*a_index)[i] = merged;
-      ++i;
-    }
-    if (take_b) {
-      if (b_index != nullptr) (*b_index)[k] = merged;
-      ++k;
-    }
-  }
+  });
+  if (a_index != nullptr) a_index->assign(pages.a_index().begin(), pages.a_index().end());
+  if (b_index != nullptr) b_index->assign(pages.b_index().begin(), pages.b_index().end());
   sg.BuildDerivedIndexes();
   return sg;
+}
+
+SubgraphUnion::SubgraphUnion(const Subgraph& a, const Subgraph& b)
+    : a_(a), b_(b), a_index_(a.NumLocalPages()), b_index_(b.NumLocalPages()) {
+  const auto a_pages = a.Pages();
+  const auto b_pages = b.Pages();
+  in_a_.reserve(a_pages.size() + b_pages.size());
+  size_t i = 0;
+  size_t k = 0;
+  while (i < a_pages.size() || k < b_pages.size()) {
+    const bool take_a = k == b_pages.size() || (i < a_pages.size() && a_pages[i] <= b_pages[k]);
+    const bool take_b = i == a_pages.size() || (k < b_pages.size() && b_pages[k] <= a_pages[i]);
+    // A shared page (both true) takes one merged index.
+    const auto merged = static_cast<LocalIndex>(in_a_.size());
+    in_a_.push_back(take_a ? 1 : 0);
+    if (take_a) a_index_[i++] = merged;
+    if (take_b) b_index_[k++] = merged;
+  }
+  if (in_a_.empty()) return;
+  first_page_ = std::min(a_pages.empty() ? b_pages.front() : a_pages.front(),
+                         b_pages.empty() ? a_pages.front() : b_pages.front());
+  const PageId last = std::max(a_pages.empty() ? b_pages.back() : a_pages.back(),
+                               b_pages.empty() ? a_pages.back() : b_pages.back());
+  const uint64_t span = static_cast<uint64_t>(last - first_page_) + 1;
+  if (span > kTableFreeSlots + kTableSlotsPerPage * in_a_.size()) return;
+  table_.assign(static_cast<size_t>(span), Subgraph::kNotLocal);
+  for (i = 0; i < a_pages.size(); ++i) table_[a_pages[i] - first_page_] = a_index_[i];
+  for (k = 0; k < b_pages.size(); ++k) table_[b_pages[k] - first_page_] = b_index_[k];
 }
 
 std::vector<PageId> Subgraph::AllSuccessors() const {

@@ -160,6 +160,77 @@ class Subgraph {
   std::vector<LocalIndex> local_out_targets_;
 };
 
+/// The page set of Subgraph::Merge(a, b), addressed by the merged fragment's
+/// local indices (ascending page order) without building that fragment: each
+/// page of `a` / `b` maps to its merged index, and IndexOf maps any page id
+/// to its merged index. Refers to `a` and `b`, which must outlive it.
+///
+/// IndexOf reads a dense table over [first merged page, last merged page]
+/// when that span needs at most kTableFreeSlots plus kTableSlotsPerPage
+/// slots per merged page — a load and no data-dependent branch, which the
+/// full merge's per-target lookups need (DESIGN.md §6b.9). Wider id spans
+/// (hostile or sparse ids) keep no table and look the page up in the two
+/// fragments' rank directories instead, so memory stays O(pages).
+class SubgraphUnion {
+ public:
+  using LocalIndex = Subgraph::LocalIndex;
+
+  /// One linear two-way merge of the two sorted page lists.
+  SubgraphUnion(const Subgraph& a, const Subgraph& b);
+
+  /// |V_a ∪ V_b|.
+  size_t NumPages() const { return in_a_.size(); }
+
+  /// Merged index of each page of `a` / `b` (both ascending).
+  std::span<const LocalIndex> a_index() const { return a_index_; }
+  std::span<const LocalIndex> b_index() const { return b_index_; }
+
+  /// Merged index of `page`, or Subgraph::kNotLocal.
+  LocalIndex IndexOf(PageId page) const {
+    if (!table_.empty()) {
+      // Ids below the first page wrap around to offsets >= the table size.
+      const uint32_t offset = page - first_page_;
+      return offset < table_.size() ? table_[offset] : Subgraph::kNotLocal;
+    }
+    const LocalIndex i = a_.LocalIndexOf(page);
+    if (i != Subgraph::kNotLocal) return a_index_[i];
+    const LocalIndex k = b_.LocalIndexOf(page);
+    return k == Subgraph::kNotLocal ? Subgraph::kNotLocal : b_index_[k];
+  }
+
+  /// True iff merged page `merged` (< NumPages()) is a page of `a`.
+  bool InA(LocalIndex merged) const { return in_a_[merged] != 0; }
+
+  /// Calls visit(from, i) once per merged page, in merged-index order, with
+  /// the fragment and local index whose successor list the page keeps: `a`'s
+  /// for a shared page, as in Subgraph::Merge.
+  template <typename Visit>
+  void ForEachPage(Visit visit) const {
+    size_t i = 0;
+    size_t k = 0;
+    for (LocalIndex merged = 0; merged < in_a_.size(); ++merged) {
+      if (in_a_[merged]) {
+        visit(a_, static_cast<LocalIndex>(i++));
+        if (k < b_index_.size() && b_index_[k] == merged) ++k;
+      } else {
+        visit(b_, static_cast<LocalIndex>(k++));
+      }
+    }
+  }
+
+ private:
+  static constexpr size_t kTableFreeSlots = 4096;
+  static constexpr size_t kTableSlotsPerPage = 64;
+
+  const Subgraph& a_;
+  const Subgraph& b_;
+  std::vector<LocalIndex> a_index_;
+  std::vector<LocalIndex> b_index_;
+  std::vector<uint8_t> in_a_;  // Per merged page.
+  PageId first_page_ = 0;
+  std::vector<LocalIndex> table_;  // Merged index by page - first_page_.
+};
+
 }  // namespace graph
 }  // namespace jxp
 

@@ -134,23 +134,6 @@ TEST(WorldNodeTest, FilterTargetsDropsEmptyEntries) {
   EXPECT_EQ(w.NumLinks(), 3u);
 }
 
-TEST(WorldNodeTest, UnionSkipsExcludedPages) {
-  WorldNode a;
-  a.Observe(10, 2, 0.4, std::vector<graph::PageId>{1}, kAvg);
-  a.Observe(20, 2, 0.1, std::vector<graph::PageId>{1}, kAvg);
-  a.ObserveDangling(30, 0.2, kAvg);
-  WorldNode b;
-  b.Observe(10, 2, 0.2, std::vector<graph::PageId>{2}, kAvg);
-  b.Observe(25, 3, 0.3, std::vector<graph::PageId>{2}, kAvg);
-  b.ObserveDangling(30, 0.4, kAvg);
-  const std::vector<graph::PageId> excluded = {20, 25};
-  const WorldNode u = WorldNode::Union(a, b, kAvg, /*authoritative=*/false, excluded);
-  EXPECT_EQ(u.NumEntries(), 1u);
-  EXPECT_DOUBLE_EQ(u.Find(10)->score, 0.3);
-  EXPECT_EQ(TargetsOf(u, 10), (std::vector<graph::PageId>{1, 2}));
-  EXPECT_DOUBLE_EQ(u.FindDangling(30).value(), 0.30000000000000004);
-}
-
 TEST(WorldNodeTest, ScaleScores) {
   WorldNode w;
   const std::vector<graph::PageId> t = {1};

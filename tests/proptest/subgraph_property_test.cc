@@ -5,7 +5,8 @@
 // - LocalIndexOf / Contains agree with a std::map for present ids, absent
 //   ids inside [first page, last page], and ids outside it;
 // - the linear Subgraph::Merge and its index maps agree with a merge built
-//   through FromKnowledge inside the test;
+//   through FromKnowledge inside the test, and SubgraphUnion's lookups and
+//   the merged system's local rows agree with that merged fragment;
 // - the extended system's local rows, written straight into the CSR, are
 //   bit-identical to rows built with SparseMatrixBuilder;
 // - FromSortedCsr JXP_CHECK-fails on unsorted or duplicate pages.
@@ -17,6 +18,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -353,6 +355,48 @@ CheckResult CheckLocalRows(const Subgraph& fragment) {
   return std::nullopt;
 }
 
+/// SubgraphUnion answers every lookup as the merged fragment does, with or
+/// without its dense table, and the full merge's system built from it has
+/// the merged fragment's local rows, bit for bit.
+CheckResult CheckUnion(const Subgraph& a, const Subgraph& b, const Subgraph& merged,
+                       Random& rng) {
+  const graph::SubgraphUnion pages(a, b);
+  if (pages.NumPages() != merged.NumLocalPages()) return "union page count differs";
+  for (PageId id : ProbeIds(merged, rng)) {
+    if (pages.IndexOf(id) != merged.LocalIndexOf(id)) {
+      return "union IndexOf(" + std::to_string(id) + ") differs from the merged fragment";
+    }
+  }
+  for (Subgraph::LocalIndex i = 0; i < merged.NumLocalPages(); ++i) {
+    if (pages.InA(i) != a.Contains(merged.GlobalId(i))) {
+      return "union InA(" + std::to_string(i) + ") is wrong";
+    }
+  }
+  const size_t m = merged.NumLocalPages();
+  core::WorldInMass no_world;
+  no_world.Reset(m);
+  core::ExtendedSystemCache cache;
+  const markov::SparseMatrix& got =
+      cache.PrepareMerged(pages, std::move(no_world), 0.5, m + 1,
+                          core::WorldLinkWeighting::kScoreProportional)
+          .matrix;
+  const core::ExtendedGraphSystem want =
+      core::BuildExtendedSystem(merged, core::WorldNode(), 0.5, m + 1);
+  for (uint32_t i = 0; i <= m; ++i) {
+    const auto got_row = got.Row(i);
+    const auto want_row = want.matrix.Row(i);
+    if (got_row.size() != want_row.size()) return "merged row " + std::to_string(i) + " length";
+    for (size_t k = 0; k < got_row.size(); ++k) {
+      if (got_row[k].column != want_row[k].column ||
+          std::bit_cast<uint64_t>(got_row[k].weight) !=
+              std::bit_cast<uint64_t>(want_row[k].weight)) {
+        return "merged row " + std::to_string(i) + " differs";
+      }
+    }
+  }
+  return std::nullopt;
+}
+
 CheckResult FlatFragmentMatchesReferences(const FragmentCase& c) {
   const FragmentPair pair = BuildPair(c);
   Random rng(c.seed ^ 0x9b0be5ULL);
@@ -364,6 +408,7 @@ CheckResult FlatFragmentMatchesReferences(const FragmentCase& c) {
   if (CheckResult r = CheckMerge(pair.b, pair.a)) return r;
   const Subgraph merged = Subgraph::Merge(pair.a, pair.b);
   if (CheckResult r = CheckLookups(merged, rng)) return "merged: " + *r;
+  if (CheckResult r = CheckUnion(pair.a, pair.b, merged, rng)) return r;
   return CheckLocalRows(merged);
 }
 

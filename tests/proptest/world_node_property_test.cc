@@ -116,8 +116,8 @@ struct ReferenceWorld {
     if (!inserted) it->second = authoritative ? score : Combine(mode, it->second, score);
   }
 
-  /// Union semantics: base minus `excluded`, then every incoming record not
-  /// excluded observed in turn.
+  /// Union, then the `excluded` pages dropped: base minus `excluded`, then
+  /// every incoming record not excluded observed in turn.
   void Merge(const ReferenceWorld& incoming, CombineMode mode, bool authoritative,
              const std::set<PageId>& excluded) {
     for (PageId page : excluded) {
@@ -236,7 +236,7 @@ struct OpRunner {
           for (auto& [page, score] : ref.dangling) score *= factor;
           break;
         }
-        case 5: {  // Merge another node in, optionally excluding pages.
+        case 5: {  // Merge another node in, then optionally drop some pages.
           WorldNode flat_in;
           ReferenceWorld ref_in;
           Observations(flat_in, ref_in, rng.NextBounded(8));
@@ -244,9 +244,10 @@ struct OpRunner {
           if (rng.NextBool(0.5)) {
             for (size_t k = rng.NextBounded(5); k > 0; --k) excluded.insert(RandomPage());
           }
-          const std::vector<PageId> sorted(excluded.begin(), excluded.end());
           const bool authoritative = rng.NextBool(0.3);
-          flat = WorldNode::Union(flat, flat_in, mode, authoritative, sorted);
+          flat = WorldNode::Union(flat, flat_in, mode, authoritative);
+          flat.Retain([&](PageId page) { return excluded.count(page) == 0; },
+                      [](PageId) { return true; });
           ref.Merge(ref_in, mode, authoritative, excluded);
           break;
         }
